@@ -5,15 +5,23 @@ blow-up scenarios stay cheap to measure while cardinalities remain exact.
 Null semantics follow SQL: a null join or semi-join key never matches, all
 comparisons against null fail, and aggregates skip nulls.
 
+Relations are immutable: no operator changes a relation it is given, so an
+operator may return its input, or share its input's row map, when the result
+has the same rows.  Row arity is validated only where rows enter from
+outside, in `Relation.from_rows` and `load_csv`; every operator builds rows
+of its schema's width by construction.
+
 `eval_naive` is the brute-force oracle: selections, pairwise joins in
 declaration order without any reordering, projection, grouping.  `eval_plan`
-interprets the staged plan IR; both funnel through the same FINALIZE
-semantics so their outputs are directly comparable with `bag_equal`.
+interprets the staged plan IR; both scan base relations with `scan` and
+funnel through the same FINALIZE semantics, so their outputs are directly
+comparable with `bag_equal`.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,7 +32,8 @@ from typing import Mapping, Optional
 from .classification import normalize_aggregation
 from .errors import YansqlError
 from .plan_builder import (BaseScan, Finalize, Mode, NaturalJoin, SemiJoin,
-                           StageKind, StagePlan, ViewJoin)
+                           StageKind, StagePlan, ViewJoin, base_scan,
+                           finalize_spec)
 from .sql_frontend import ConjunctiveQuery
 
 
@@ -64,24 +73,22 @@ class AggregateTypeError(EngineError):
 # Relations
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Relation:
+    """A bag of rows.  The constructor trusts `rows` (a Counter of tuples of
+    the schema's width) and takes ownership of it: never mutate it after."""
     schema: tuple
     rows: Counter = field(default_factory=Counter)
 
-    def __post_init__(self):
-        self.schema = tuple(self.schema)
-        if not isinstance(self.rows, Counter):
-            self.rows = Counter(dict(self.rows)) if isinstance(self.rows, dict) \
-                else Counter(tuple(r) for r in self.rows)
-        for row in self.rows:
-            if len(row) != len(self.schema):
-                raise ArityMismatch(
-                    f"row {row!r} does not match schema {self.schema!r}")
-
     @classmethod
     def from_rows(cls, schema, rows) -> "Relation":
-        return cls(tuple(schema), Counter(tuple(r) for r in rows))
+        schema = tuple(schema)
+        counted = Counter(map(tuple, rows))
+        for row in counted:
+            if len(row) != len(schema):
+                raise ArityMismatch(
+                    f"row {row!r} does not match schema {schema!r}")
+        return cls(schema, counted)
 
     def cardinality(self) -> int:
         return sum(self.rows.values())
@@ -95,10 +102,10 @@ class Relation:
 
     def expanded(self) -> list:
         """All rows with duplicates, sorted for stable output."""
-        out = []
-        for row, count in self.rows.items():
-            out.extend([row] * count)
-        return sorted(out, key=_row_sort_key)
+        ordered = _sorted_rows(self.rows)
+        if len(ordered) == self.cardinality():  # no duplicates
+            return ordered
+        return [row for row in ordered for _ in range(self.rows[row])]
 
     def __eq__(self, other):
         return (isinstance(other, Relation)
@@ -108,13 +115,36 @@ class Relation:
 def _value_sort_key(value):
     if value is None:
         return (0, "")
-    if isinstance(value, int):
-        return (1, value)
-    return (2, value)
+    if isinstance(value, str):
+        return (2, value)
+    return (1, value)
 
 
 def _row_sort_key(row):
     return tuple(_value_sort_key(v) for v in row)
+
+
+def _sorted_rows(rows) -> list:
+    """`rows` in `_row_sort_key` order: nulls, then numbers, then strings.
+
+    A plain sort gives that same order whenever it raises no TypeError: null
+    compares unequal to everything but null, and a string against a number
+    raises, so every comparison that decided the order was between two
+    values the key would also have compared directly."""
+    try:
+        return sorted(rows)
+    except TypeError:
+        return sorted(rows, key=_row_sort_key)
+
+
+def _columns_getter(idx):
+    """Row -> tuple of the values at positions `idx`; one or no position
+    still gives a tuple."""
+    if len(idx) == 1:
+        return operator.itemgetter(slice(idx[0], idx[0] + 1))
+    if not idx:
+        return operator.itemgetter(slice(0))
+    return operator.itemgetter(*idx)
 
 
 def bag_equal(a: Relation, b: Relation) -> bool:
@@ -131,19 +161,22 @@ def bag_equal(a: Relation, b: Relation) -> bool:
         positions[name] = occurrence + 1
         indices = [j for j, col in enumerate(b.schema) if col == name]
         perm.append(indices[occurrence])
+    key = _columns_getter(perm)
     remapped = Counter()
     for row, count in b.rows.items():
-        remapped[tuple(row[j] for j in perm)] += count
+        remapped[key(row)] += count
     return a.rows == remapped
 
 
 def project(rel: Relation, columns) -> Relation:
     """Bag projection: multiplicities of equal projections add up."""
     columns = tuple(columns)
-    idx = [rel.column(c) for c in columns]
+    if columns == rel.schema:
+        return rel
+    key = _columns_getter([rel.column(c) for c in columns])
     rows = Counter()
     for row, count in rel.rows.items():
-        rows[tuple(row[i] for i in idx)] += count
+        rows[key(row)] += count
     return Relation(columns, rows)
 
 
@@ -156,16 +189,29 @@ def distinct(rel: Relation) -> Relation:
 # ---------------------------------------------------------------------------
 
 def _parse_value(text: str):
-    if text == "":
-        return None
-    if text.isdigit() or (text.startswith("-") and text[1:].isdigit()):
-        return int(text)
-    return text
+    if text.isdigit() or text[:1] == "-" and text[1:].isdigit():
+        if text.isascii():
+            try:
+                return int(text)
+            except ValueError:  # longer than int() accepts: keep the text
+                pass
+    return text or None
+
+
+def _parsed_rows(path, reader, width: int):
+    for lineno, raw in enumerate(reader, start=2):
+        if not raw:
+            raw = [""]  # blank line: one empty field
+        if len(raw) != width:
+            raise ArityMismatch(
+                f"{path}:{lineno}: expected {width} fields, got {len(raw)}")
+        yield tuple(map(_parse_value, raw))
 
 
 def load_csv(path, declared_schema=None) -> Relation:
-    """First row is the header; all-digit fields parse as integers, empty
-    fields as null; duplicate rows increase multiplicity."""
+    """First row is the header; fields of ASCII digits, with an optional
+    leading '-', parse as integers, empty fields as null; duplicate rows
+    increase multiplicity."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -179,15 +225,7 @@ def load_csv(path, declared_schema=None) -> Relation:
                 raise SchemaMismatch(
                     f"{path}: header {schema!r} does not match declared "
                     f"{tuple(declared_schema)!r}")
-            rows = Counter()
-            for lineno, raw in enumerate(reader, start=2):
-                if not raw:
-                    raw = [""]  # blank line: one empty field
-                if len(raw) != len(schema):
-                    raise ArityMismatch(
-                        f"{path}:{lineno}: expected {len(schema)} fields, "
-                        f"got {len(raw)}")
-                rows[tuple(_parse_value(v) for v in raw)] += 1
+            rows = Counter(_parsed_rows(path, reader, len(schema)))
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     return Relation(schema, rows)
@@ -205,54 +243,60 @@ def write_csv(rel: Relation, path):
 # Core operators
 # ---------------------------------------------------------------------------
 
-def select_rows(rel: Relation, attr: str, comparator: str, value) -> Relation:
-    idx = rel.column(attr)
-    rows = Counter()
-    for row, count in rel.rows.items():
-        if _compare(row[idx], comparator, value):
-            rows[row] += count
-    return Relation(rel.schema, rows)
+_COMPARATORS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_NUMERIC = (int, Fraction)
 
 
 def _compare(cell, comparator: str, value) -> bool:
+    """SQL comparison: false against null and between a number and a
+    string; integers and Fractions (exact AVG) are both numbers."""
+    try:
+        op = _COMPARATORS[comparator]
+    except KeyError:
+        raise EngineError(f"unknown comparator {comparator!r}") from None
     if cell is None or value is None:
         return False
-    if isinstance(cell, int) != isinstance(value, int):
+    if isinstance(cell, _NUMERIC) != isinstance(value, _NUMERIC):
         return False
-    if comparator == "=":
-        return cell == value
-    if comparator == "<>":
-        return cell != value
-    if comparator == "<":
-        return cell < value
-    if comparator == "<=":
-        return cell <= value
-    if comparator == ">":
-        return cell > value
-    if comparator == ">=":
-        return cell >= value
-    raise EngineError(f"unknown comparator {comparator!r}")
+    return op(cell, value)
+
+
+def scan(rel: Relation, selections, equalities, columns) -> Relation:
+    """One pass over a base relation: constant selections, then equalities
+    between its attributes, then projection to `columns`, (attribute,
+    variable) pairs, with each attribute renamed to its variable."""
+    tests = [(rel.column(s.attr), s.comparator, s.value) for s in selections]
+    pairs = [(rel.column(a), rel.column(b)) for a, b in equalities]
+    schema = tuple(var for _, var in columns)
+    idx = [rel.column(attr) for attr, _ in columns]
+    if not tests and not pairs and idx == list(range(len(rel.schema))):
+        return Relation(schema, rel.rows)
+    key = _columns_getter(idx)
+    rows = Counter()
+    for row, count in rel.rows.items():
+        if all(_compare(row[i], comparator, value)
+               for i, comparator, value in tests) \
+                and all(row[a] is not None and row[a] == row[b]
+                        for a, b in pairs):
+            rows[key(row)] += count
+    return Relation(schema, rows)
 
 
 def semi_join(left: Relation, right: Relation, keys) -> Relation:
     """Left tuples with at least one right match on all keys; multiplicities
     of surviving tuples are preserved exactly.  `keys` pairs (left attribute,
     right attribute); null keys never match."""
-    pairs = [(left.column(a), right.column(b)) for a, b in keys]
-    if not pairs:
-        if right.cardinality() == 0:
-            return Relation(left.schema)
-        return Relation(left.schema, Counter(left.rows))
-    right_keys = set()
-    for row in right.rows:
-        key = tuple(row[j] for _, j in pairs)
-        if None not in key:
-            right_keys.add(key)
-    rows = Counter()
-    for row, count in left.rows.items():
-        key = tuple(row[i] for i, _ in pairs)
-        if None not in key and key in right_keys:
-            rows[row] += count
+    if not keys:
+        return left if right.cardinality() else Relation(left.schema)
+    left_key = _columns_getter([left.column(a) for a, _ in keys])
+    right_key = _columns_getter([right.column(b) for _, b in keys])
+    # a left key with a null equals no right key, since none has a null
+    right_keys = {k for k in map(right_key, right.rows) if None not in k}
+    rows = Counter({row: count for row, count in left.rows.items()
+                    if left_key(row) in right_keys})
+    if len(rows) == len(left.rows):
+        return left
     return Relation(left.schema, rows)
 
 
@@ -261,38 +305,33 @@ def natural_join(left: Relation, right: Relation) -> Relation:
     product of matching multiplicities; null keys never match."""
     shared = [c for c in left.schema if c in right.schema]
     right_extra = [c for c in right.schema if c not in shared]
-    schema = tuple(left.schema) + tuple(right_extra)
-    l_idx = [left.column(c) for c in shared]
-    r_idx = [right.column(c) for c in shared]
-    r_extra_idx = [right.column(c) for c in right_extra]
+    left_key = _columns_getter([left.column(c) for c in shared])
+    right_key = _columns_getter([right.column(c) for c in shared])
+    extra = _columns_getter([right.column(c) for c in right_extra])
     index: dict = {}
     for row, count in right.rows.items():
-        key = tuple(row[j] for j in r_idx)
-        if None in key:
-            continue
-        index.setdefault(key, []).append(
-            (tuple(row[j] for j in r_extra_idx), count))
+        key = right_key(row)
+        if None not in key:
+            index.setdefault(key, []).append((extra(row), count))
     rows = Counter()
     for row, count in left.rows.items():
-        key = tuple(row[i] for i in l_idx)
-        if None in key:
-            continue
-        for extra, rcount in index.get(key, ()):
-            rows[row + extra] += count * rcount
-    return Relation(schema, rows)
+        for tail, rcount in index.get(left_key(row), ()):
+            rows[row + tail] += count * rcount
+    return Relation(left.schema + tuple(right_extra), rows)
 
 
 # ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def _agg_raw(func: str, values: list):
-    """SQL aggregate over non-null values (already filtered); empty -> null
+def _agg_raw(func: str, cells: list):
+    """SQL aggregate over non-null (value, multiplicity) pairs; empty -> null
     except COUNT.  AVG yields an exact Fraction."""
     if func == "COUNT":
-        return len(values)
-    if not values:
+        return sum(count for _, count in cells)
+    if not cells:
         return None
+    values = [value for value, _ in cells]
     if func in ("MIN", "MAX"):
         kinds = {isinstance(v, int) for v in values}
         if len(kinds) > 1:
@@ -300,10 +339,11 @@ def _agg_raw(func: str, values: list):
         return min(values) if func == "MIN" else max(values)
     if any(not isinstance(v, int) for v in values):
         raise AggregateTypeError(f"{func} needs integer input")
+    total = sum(value * count for value, count in cells)
     if func == "SUM":
-        return sum(values)
+        return total
     if func == "AVG":
-        return Fraction(sum(values), len(values))
+        return Fraction(total, sum(count for _, count in cells))
     raise EngineError(f"unknown aggregate {func!r}")
 
 
@@ -312,40 +352,33 @@ def render_fraction(value: Fraction) -> str:
     return str(dec.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN))
 
 
-def _group_rows(rel: Relation, grouping) -> dict:
-    g_idx = [rel.column(a) for a in grouping]
-    groups: dict = {}
-    for row, count in rel.rows.items():
-        key = tuple(row[i] for i in g_idx)
-        groups.setdefault(key, []).append((row, count))
-    return groups
-
-
 def _aggregate_raw(rel: Relation, grouping, aggs, distinct_input: bool):
     """Group and compute raw aggregate values (AVG stays a Fraction)."""
     if distinct_input:
         rel = distinct(rel)
     grouping = tuple(grouping)
     agg_idx = [rel.column(a.var) for a in aggs]
+    group_key = _columns_getter([rel.column(a) for a in grouping])
+    groups: dict = {}
+    for row, count in rel.rows.items():
+        groups.setdefault(group_key(row), []).append((row, count))
     out_rows = []
-    groups = _group_rows(rel, grouping)
     if not grouping and not groups and aggs:
         # global aggregate over empty input: one row of nulls, COUNT -> 0
         out_rows.append(((), tuple(0 if a.func == "COUNT" else None
                                    for a in aggs)))
         return grouping, out_rows
-    for key in sorted(groups, key=_row_sort_key):
+    for key in _sorted_rows(groups):
         members = groups[key]
         values = []
         for pos, agg in zip(agg_idx, aggs):
-            cells = []
-            for row, count in members:
-                cell = row[pos]
-                if cell is None:
-                    continue
-                cells.extend([cell] * (1 if agg.distinct else count))
             if agg.distinct:
-                cells = sorted(set(cells), key=_value_sort_key)
+                cells = [(cell, 1) for cell in
+                         dict.fromkeys(row[pos] for row, _ in members)
+                         if cell is not None]
+            else:
+                cells = [(row[pos], count) for row, count in members
+                         if row[pos] is not None]
             values.append(_agg_raw(agg.func, cells))
         out_rows.append((key, tuple(values)))
     return grouping, out_rows
@@ -393,12 +426,7 @@ def _finalize_relation(rel: Optional[Relation], fin: Finalize) -> Relation:
         for key, values in raw:
             if fin.having is not None:
                 hv = values[agg_pos[fin.having.call.column_name()]]
-                if isinstance(hv, Fraction):
-                    ok = _compare_fraction(hv, fin.having.comparator,
-                                           fin.having.value)
-                else:
-                    ok = _compare(hv, fin.having.comparator, fin.having.value)
-                if not ok:
+                if not _compare(hv, fin.having.comparator, fin.having.value):
                     continue
             out_row = []
             for col in fin.output:
@@ -423,50 +451,6 @@ def _finalize_relation(rel: Optional[Relation], fin: Finalize) -> Relation:
     return result
 
 
-def _compare_fraction(value: Fraction, comparator: str, constant) -> bool:
-    if not isinstance(constant, int):
-        return False
-    other = Fraction(constant)
-    if comparator == "=":
-        return value == other
-    if comparator == "<>":
-        return value != other
-    if comparator == "<":
-        return value < other
-    if comparator == "<=":
-        return value <= other
-    if comparator == ">":
-        return value > other
-    if comparator == ">=":
-        return value >= other
-    raise EngineError(f"unknown comparator {comparator!r}")
-
-
-# ---------------------------------------------------------------------------
-# Atom preparation (shared row-level primitive)
-# ---------------------------------------------------------------------------
-
-def prepare_atom(rel: Relation, atom, selections, keep=None) -> Relation:
-    """Apply constant selections and intra-atom equalities, then project to
-    the atom's variables (renaming attributes to variable names)."""
-    out = rel
-    for sel in selections:
-        out = select_rows(out, sel.attr, sel.comparator, sel.value)
-    for v in sorted(atom.variables):
-        sources = atom.sources_of(v)
-        for a, b in zip(sources, sources[1:]):
-            ia, ib = out.column(a), out.column(b)
-            rows = Counter()
-            for row, count in out.rows.items():
-                if row[ia] is not None and row[ia] == row[ib]:
-                    rows[row] += count
-            out = Relation(out.schema, rows)
-    variables = sorted(atom.variables if keep is None else atom.variables & keep)
-    columns = [(atom.sources_of(v)[0], v) for v in variables]
-    out = project(out, tuple(attr for attr, _ in columns))
-    return Relation(tuple(v for _, v in columns), out.rows)
-
-
 # ---------------------------------------------------------------------------
 # Naive oracle
 # ---------------------------------------------------------------------------
@@ -486,10 +470,7 @@ def _naive_join_all(cq: ConjunctiveQuery, db: Mapping[str, Relation]):
     joined: Optional[Relation] = None
     steps = []
     for atom in cq.atoms:
-        if atom.relation not in db:
-            raise MissingRelation(f"relation {atom.relation!r} not in database")
-        prepared = prepare_atom(db[atom.relation], atom,
-                                cq.selections_of(atom.atom_id))
+        prepared = _eval_scan(base_scan(atom, cq, None), db)
         joined = prepared if joined is None else natural_join(joined, prepared)
         steps.append(joined.cardinality())
     if joined is None:
@@ -504,8 +485,6 @@ def eval_naive(cq: ConjunctiveQuery, db: Mapping[str, Relation]) -> Relation:
 
 
 def eval_naive_traced(cq: ConjunctiveQuery, db: Mapping[str, Relation]):
-    from .plan_builder import finalize_spec
-
     form = normalize_aggregation(cq)
     fin = finalize_spec(form, None if cq.statically_empty else "naive",
                         Mode.FULL_ENUM, None)
@@ -569,8 +548,8 @@ def eval_plan(plan: StagePlan, db: Mapping[str, Relation],
             return _eval_scan(body, db)
         if isinstance(body, ViewJoin):
             joined = None
-            for scan in body.scans:
-                rel = _eval_scan(scan, db)
+            for scan_body in body.scans:
+                rel = _eval_scan(scan_body, db)
                 joined = rel if joined is None else natural_join(joined, rel)
             return project(joined, body.project)
         if isinstance(body, SemiJoin):
@@ -602,8 +581,7 @@ def eval_plan(plan: StagePlan, db: Mapping[str, Relation],
                 fin: Finalize = stmt.body
                 if fin.source is not None:
                     if abort_tail:
-                        schema = _finalize_input_schema(plan, fin)
-                        source = Relation(schema)
+                        source = Relation(tuple(fin.project_first))
                     else:
                         source = _lookup(env, fin.source)
                 rel = _finalize_relation(source, fin)
@@ -612,9 +590,10 @@ def eval_plan(plan: StagePlan, db: Mapping[str, Relation],
                 rel = run_body(stmt.body)
                 env[stmt.name] = rel
             micros = (time.perf_counter_ns() - t0) // 1000
-            stats.statement_rows[stmt.name] = rel.cardinality()
+            rows = rel.cardinality()
+            stats.statement_rows[stmt.name] = rows
             stats.statement_micros[stmt.name] = micros
-            max_rows = max(max_rows, rel.cardinality())
+            max_rows = max(max_rows, rows)
         stats.stage_max_rows[kind.value] = max_rows
         stats.stage_micros[kind.value] = \
             (time.perf_counter_ns() - started) // 1000
@@ -630,27 +609,11 @@ def eval_plan(plan: StagePlan, db: Mapping[str, Relation],
     return EvalResult(result, stats, env)
 
 
-def _finalize_input_schema(plan: StagePlan, fin: Finalize) -> tuple:
-    if fin.project_first:
-        return tuple(fin.project_first)
-    return ()
-
-
-def _eval_scan(scan: BaseScan, db: Mapping[str, Relation]) -> Relation:
-    if scan.relation not in db:
-        raise MissingRelation(f"relation {scan.relation!r} not in database")
-    rel = db[scan.relation]
-    for sel in scan.selections:
-        rel = select_rows(rel, sel.attr, sel.comparator, sel.value)
-    for a, b in scan.attr_equalities:
-        ia, ib = rel.column(a), rel.column(b)
-        rows = Counter()
-        for row, count in rel.rows.items():
-            if row[ia] is not None and row[ia] == row[ib]:
-                rows[row] += count
-        rel = Relation(rel.schema, rows)
-    projected = project(rel, tuple(attr for attr, _ in scan.columns))
-    return Relation(tuple(var for _, var in scan.columns), projected.rows)
+def _eval_scan(body: BaseScan, db: Mapping[str, Relation]) -> Relation:
+    if body.relation not in db:
+        raise MissingRelation(f"relation {body.relation!r} not in database")
+    return scan(db[body.relation], body.selections, body.attr_equalities,
+                body.columns)
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,9 @@ def _join_vars(trees: Sequence[JoinTree]) -> frozenset:
     return frozenset(v for v, n in counts.items() if n > 1)
 
 
-def _base_scan(atom, inner, keep: Optional[frozenset]) -> BaseScan:
+def base_scan(atom, inner, keep: Optional[frozenset]) -> BaseScan:
+    """The SETUP scan of one atom; `keep` limits the variables it keeps
+    (None keeps them all)."""
     variables = sorted(atom.variables if keep is None
                        else atom.variables & keep)
     columns = tuple((atom.sources_of(v)[0], v) for v in variables)
@@ -421,10 +423,10 @@ def build_plan(trees, form, mode: Mode, join_group_cap: int = 12,
         tree = node_tree[node]
         label = tree.labels[node]
         if label.kind == "atom":
-            body: Body = _base_scan(form.inner.atom(label.ref), form.inner, keep)
+            body: Body = base_scan(form.inner.atom(label.ref), form.inner, keep)
         else:
             view = view_map[label.ref]
-            scans = tuple(_base_scan(form.inner.atom(aid), form.inner, None)
+            scans = tuple(base_scan(form.inner.atom(aid), form.inner, None)
                           for aid in view.atom_ids)
             body = ViewJoin(scans, tuple(v for v in view.projection if v in keep))
         stmt = PlanStatement("view", f"{node}_setup", body, StageKind.SETUP, node)

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +171,23 @@ def test_input_errors_exit_2(tmp_path):
     missing_db.write_text("SELECT r.a FROM r", encoding="utf-8")
     code, _ = run(["exec", str(missing_db), "--db", str(tmp_path / "nodir")])
     assert code == 2
+
+
+def test_exec_unicode_digit_field_is_a_string(tmp_path):
+    # '\u00b2' passes str.isdigit() but not int(): it must load as text
+    sql = tmp_path / "q.sql"
+    sql.write_text("SELECT r.a, r.b FROM r", encoding="utf-8")
+    (tmp_path / "r.csv").write_text("a,b\n\u00b2,1\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "yansql", "exec", str(sql), "--db",
+         str(tmp_path)], capture_output=True, text=True, encoding="utf-8",
+        env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "a | b\n\u00b2 | 1\n(1 row(s))\n"
 
 
 def test_root_override(ex1_paths):

@@ -1,4 +1,6 @@
+import copy
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ from yansql.engine import (AggregateTypeError, ArityMismatch, IoError,
                            UnknownAttribute, aggregate, bag_equal,
                            eval_naive, eval_naive_traced, eval_plan,
                            full_reducer_holds, load_csv, natural_join,
-                           semi_join, write_csv)
+                           render_fraction, semi_join, write_csv)
+from yansql.engine import _row_sort_key, _sorted_rows
 from yansql.pipeline import compile_cq, compile_sql
 from yansql.plan_builder import Mode, StageKind
 from yansql.sql_frontend import AggregateCall, extract_cq, parse_query
@@ -49,6 +52,16 @@ def test_load_csv_type_parsing(tmp_path):
     assert list(rel.rows) == [(-5, "05x", 7)]
 
 
+@pytest.mark.parametrize("text", ["\u00b2", "-\u00b2", "\u0663", "1" * 5000,
+                                  "-", "+5"])
+def test_load_csv_only_ascii_integers_parse(tmp_path, text):
+    # str.isdigit() accepts the first four, but int() rejects '\u00b2' and
+    # more than 4300 digits
+    p = tmp_path / "r.csv"
+    p.write_text(f"a\n{text}\n", encoding="utf-8")
+    assert load_csv(p).rows == {(text,): 1}
+
+
 def test_load_csv_errors(tmp_path):
     missing = tmp_path / "absent.csv"
     with pytest.raises(IoError):
@@ -61,6 +74,11 @@ def test_load_csv_errors(tmp_path):
     ok.write_text("a,b\n1,2\n", encoding="utf-8")
     with pytest.raises(SchemaMismatch):
         load_csv(ok, declared_schema=("a", "c"))
+
+
+def test_from_rows_checks_arity():
+    with pytest.raises(ArityMismatch):
+        Relation.from_rows(("a", "b"), [(1, 2), (3,)])
 
 
 def test_csv_roundtrip(tmp_path):
@@ -212,6 +230,52 @@ def test_aggregate_mixed_types_error():
     ok = aggregate(Relation.from_rows(("x",), [("a",), ("b",)]), (),
                    (AggregateCall("MAX", "x", False),))
     assert ok.rows == {("b",): 1}
+
+
+def _expanded_aggregates(pairs):
+    """COUNT, SUM and AVG of x per group, one list entry per duplicate."""
+    groups: dict = {}
+    for g, x in pairs:
+        groups.setdefault(g, [])
+        if x is not None:
+            groups[g].append(x)
+    return {(g, len(xs), sum(xs) if xs else None,
+             render_fraction(Fraction(sum(xs), len(xs))) if xs else None): 1
+            for g, xs in groups.items()}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("ab"),
+                          st.one_of(st.none(), st.integers(-5, 5))),
+                max_size=12),
+       st.lists(st.integers(1, 4), min_size=12, max_size=12))
+def test_weighted_aggregates_equal_expanded(rows, counts):
+    pairs = [row for row, n in zip(rows, counts) for _ in range(n)]
+    rel = Relation.from_rows(("g", "x"), pairs)
+    calls = tuple(AggregateCall(f, "x", False) for f in ("COUNT", "SUM", "AVG"))
+    out = aggregate(rel, ("g",), calls)
+    assert out.rows == _expanded_aggregates(pairs)
+
+
+# ---------------------------------------------------------------------------
+# row order
+# ---------------------------------------------------------------------------
+
+CELLS = st.one_of(st.none(), st.integers(-3, 3), st.text("ab", max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(CELLS, CELLS), max_size=30))
+def test_fast_row_order_equals_key_order(rows):
+    expected = sorted(rows, key=_row_sort_key)
+    assert _sorted_rows(rows) == expected
+    assert Relation.from_rows(("a", "b"), rows).expanded() == expected
+
+
+def test_row_order_mixed_column():
+    rows = [("x", 2), (None, 1), (3, None), ("x", None), (1, "y")]
+    assert _sorted_rows(rows) == [(None, 1), (1, "y"), (3, None),
+                                  ("x", None), ("x", 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +465,36 @@ def test_random_fullenum_plan_bag_equals_naive(seed):
     compiled = compile_cq(cq, mode="fullenum")
     res = eval_plan(compiled.plan, db)
     assert bag_equal(res.relation, eval_naive(cq, db))
+
+
+PATH_QUERIES = [
+    "SELECT r.a, r.b, s.c, t.d FROM r, s, t WHERE r.b = s.b AND s.c = t.c",
+    "SELECT s.b, COUNT(t.d), AVG(t.d) FROM r, s, t "
+    "WHERE r.b = s.b AND s.c = t.c GROUP BY s.b",
+    "SELECT s.b, MIN(s.c) FROM r, s WHERE r.b = s.b GROUP BY s.b",
+    "SELECT DISTINCT r.a FROM r, s WHERE r.b = s.b AND s.c > 0",
+    "SELECT 1 FROM r, s WHERE r.b = s.b",
+    "SELECT r.a, r.b FROM r",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(PATH_QUERIES),
+       st.sampled_from(["auto", "fullenum"]))
+def test_evaluation_leaves_database_unchanged(seed, sql, mode):
+    # scans without selections share the base relations' row maps, and
+    # semi-joins that drop nothing return their input
+    rng = random.Random(seed)
+    db = {name: Relation.from_rows(schema, [
+              (rng.randint(0, 2), rng.randint(0, 2))
+              for _ in range(rng.randint(0, 6))])
+          for name, schema in (("r", ("a", "b")), ("s", ("b", "c")),
+                               ("t", ("c", "d")))}
+    before = copy.deepcopy(db)
+    compiled = compile_sql(sql, mode=mode)
+    eval_plan(compiled.plan, db)
+    eval_naive(compiled.cq, db)
+    assert db == before
 
 
 @settings(max_examples=30, deadline=None)
