@@ -1,8 +1,9 @@
 """Evaluate one cyclic query under every width-2 decomposition found.
 
 Different decompositions of the same query can behave very differently:
-the local joins that turn a decomposition into a join tree range from
-cheap semi-join-like views to cross products.  This script enumerates
+the local joins behind the decomposition's node views (each a set,
+DISTINCT pi_bag of its cover's join) range from cheap semi-join-like views
+to cross products.  This script enumerates
 decompositions of a cyclic query, evaluates the resulting plans on a
 random database, and prints per-decomposition statistics.
 
@@ -55,13 +56,13 @@ def main() -> int:
         plan = build_plan(tree, form, Mode.FULL_ENUM, views=views)
         res = eval_plan(plan, db)
         assert bag_equal(res.relation, naive)
-        setup_rows = [res.stats.statement_rows[f"{n}_setup"]
-                      for n in tree.nodes]
+        setup_rows = [res.stats.statement_rows[f"{v.view_id}_setup"]
+                      for v in views]
         total_us = sum(res.stats.statement_micros.values())
         covers = " | ".join(
             "+".join(sorted(c)) for c in sorted(
                 ghd.covers.values(), key=lambda c: sorted(c)))
-        print(f"{i:>2} {len(tree.nodes):>5} {max(setup_rows):>14} "
+        print(f"{i:>2} {len(views):>5} {max(setup_rows):>14} "
               f"{res.stats.max_intermediate():>13} {total_us:>9}  {covers}")
     print()
     print("all decompositions verified bag-equal against the oracle")

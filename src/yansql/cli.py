@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from . import pipeline
 from .decomposition import (CyclicReport, enumerate_ghds, flat_gyo,
@@ -22,36 +20,13 @@ from .pipeline import CyclicQuery, compile_sql
 from .sql_emitter import get_dialect, emit_plan
 
 
-@dataclass
-class CliConfig:
-    command: str
-    sql_path: str
-    db_dir: Optional[str] = None
-    dialect: str = "postgres"
-    mode: str = "auto"
-    join_group_cap: int = 12
-    ghd_width: Optional[int] = None
-    ghd_path: Optional[str] = None
-    semijoin_style: Optional[str] = None
-    prefix: str = ""
-    root: Optional[str] = None
-    join_attrs_only: bool = False
-    short_circuit: bool = False
-    with_cleanup: bool = False
-    stats: bool = False
-    seed: Optional[int] = None
-    enumerate: Optional[int] = None
-    width: Optional[int] = None
-    format: str = "text"
-
-
 def _read_sql(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_db(cfg: CliConfig, cq) -> dict:
+def _load_db(cfg: argparse.Namespace, cq) -> dict:
     db = {}
     base = Path(cfg.db_dir)
     for atom in cq.atoms:
@@ -80,7 +55,7 @@ def _print_stats(stats, out):
         out.write("skipped: " + " ".join(stats.skipped_stages) + "\n")
 
 
-def _compile(cfg: CliConfig):
+def _compile(cfg: argparse.Namespace):
     sql = _read_sql(cfg.sql_path)
     ghd = None
     if cfg.ghd_path:
@@ -97,7 +72,7 @@ def _compile(cfg: CliConfig):
     )
 
 
-def cmd_analyze(cfg: CliConfig, out) -> int:
+def cmd_analyze(cfg: argparse.Namespace, out) -> int:
     sql = _read_sql(cfg.sql_path)
     from .classification import classify_0ma, normalize_aggregation
     from .sql_frontend import extract_cq, parse_query
@@ -123,7 +98,7 @@ def cmd_analyze(cfg: CliConfig, out) -> int:
     return 0
 
 
-def cmd_rewrite(cfg: CliConfig, out) -> int:
+def cmd_rewrite(cfg: argparse.Namespace, out) -> int:
     compiled = _compile(cfg)
     dialect = get_dialect(cfg.dialect)
     if cfg.semijoin_style:
@@ -137,7 +112,7 @@ def cmd_rewrite(cfg: CliConfig, out) -> int:
     return 0
 
 
-def cmd_exec(cfg: CliConfig, out) -> int:
+def cmd_exec(cfg: argparse.Namespace, out) -> int:
     compiled = _compile(cfg)
     db = _load_db(cfg, compiled.cq)
     result = eval_plan(compiled.plan, db, short_circuit=cfg.short_circuit)
@@ -147,7 +122,7 @@ def cmd_exec(cfg: CliConfig, out) -> int:
     return 0
 
 
-def cmd_ghd(cfg: CliConfig, out) -> int:
+def cmd_ghd(cfg: argparse.Namespace, out) -> int:
     sql = _read_sql(cfg.sql_path)
     from .sql_frontend import extract_cq, parse_query
 
@@ -174,7 +149,7 @@ def cmd_ghd(cfg: CliConfig, out) -> int:
     return 0
 
 
-def cmd_compare(cfg: CliConfig, out) -> int:
+def cmd_compare(cfg: argparse.Namespace, out) -> int:
     compiled = _compile(cfg)
     db = _load_db(cfg, compiled.cq)
     cmp = pipeline.compare_on_db(compiled, db,
@@ -250,8 +225,8 @@ _COMMANDS = {
 }
 
 
-def run(config: CliConfig, out=None) -> int:
-    """Execute one command; 0 ok, 1 verification failure, 2 input error."""
+def run(config: argparse.Namespace, out=None) -> int:
+    """Execute one parsed command; 0 ok, 1 verification failure, 2 input error."""
     out = out or sys.stdout
     try:
         return _COMMANDS[config.command](config, out)
@@ -267,10 +242,7 @@ def run(config: CliConfig, out=None) -> int:
 
 
 def main(argv=None, out=None) -> int:
-    ns = build_arg_parser().parse_args(argv)
-    fields = set(CliConfig.__dataclass_fields__)
-    cfg = CliConfig(**{k: v for k, v in vars(ns).items() if k in fields})
-    return run(cfg, out)
+    return run(build_arg_parser().parse_args(argv), out)
 
 
 if __name__ == "__main__":

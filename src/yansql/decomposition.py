@@ -6,7 +6,7 @@ join tree has minimum depth over all join trees of the hypergraph;
 `min_depth_oracle` verifies this independently by enumerating all labeled
 trees.  Cyclic hypergraphs are handled by an exhaustive search for
 generalized hypertree decompositions of bounded width, which convert back
-to join trees over view nodes.
+to join trees over set-valued view nodes with one leaf per atom.
 """
 
 from __future__ import annotations
@@ -190,6 +190,22 @@ def connectedness_holds(tree: JoinTree) -> bool:
                for nodes in occurrences.values())
 
 
+def _is_rooted_tree(root: str, parent: dict, nodes: set) -> bool:
+    """`parent` links `nodes` into one tree: every non-root reaches the
+    root without a cycle."""
+    if root not in nodes or set(parent) != nodes - {root}:
+        return False
+    for node in parent:
+        seen = {node}
+        cur = node
+        while cur != root:
+            cur = parent.get(cur)
+            if cur is None or cur in seen:
+                return False
+            seen.add(cur)
+    return True
+
+
 def is_valid_join_tree(h: Hypergraph, t: JoinTree) -> bool:
     """Bijection between nodes and edges plus the connectedness condition."""
     node_refs = sorted(lbl.ref for lbl in t.labels.values())
@@ -197,17 +213,8 @@ def is_valid_join_tree(h: Hypergraph, t: JoinTree) -> bool:
         return False
     if any(lbl.kind != "atom" for lbl in t.labels.values()):
         return False
-    # structural tree check: every non-root reaches the root
-    if t.root not in t.labels or set(t.parent) != set(t.labels) - {t.root}:
+    if not _is_rooted_tree(t.root, t.parent, set(t.labels)):
         return False
-    for node in t.parent:
-        seen = {node}
-        cur = node
-        while cur != t.root:
-            cur = t.parent.get(cur)
-            if cur is None or cur in seen:
-                return False
-            seen.add(cur)
     if any(t.attrs.get(n) != h.edges[t.labels[n].ref] for n in t.labels):
         return False
     return connectedness_holds(t)
@@ -387,18 +394,8 @@ class GHDecomposition:
 def validate_ghd(h: Hypergraph, g: GHDecomposition) -> bool:
     """Edge coverage, bag containment, and per-variable connectedness."""
     nodes = set(g.bags)
-    if g.root not in nodes or set(g.covers) != nodes:
+    if set(g.covers) != nodes or not _is_rooted_tree(g.root, g.parent, nodes):
         return False
-    if set(g.parent) != nodes - {g.root}:
-        return False
-    for node in g.parent:
-        seen = {node}
-        cur = node
-        while cur != g.root:
-            cur = g.parent.get(cur)
-            if cur is None or cur in seen:
-                return False
-            seen.add(cur)
     for cover in g.covers.values():
         if not cover or any(label not in h.edges for label in cover):
             return False
@@ -430,8 +427,7 @@ def enumerate_ghds(h: Hypergraph, width: int, limit: Optional[int] = None,
 
     Candidate covers are tried by (cover size, lexicographic labels); a seed
     shuffles the candidate order to sample structurally different
-    decompositions.  Partitioning the atoms keeps later plan evaluation
-    bag-correct (each atom's multiplicity is counted at exactly one node).
+    decompositions.
     """
     if len(h.edges) > _GHD_MAX_EDGES:
         raise TooLarge(f"GHD search limited to {_GHD_MAX_EDGES} edges")
@@ -499,37 +495,18 @@ class ViewDefinition:
 
 def ghd_to_join_tree(g: GHDecomposition, cq: ConjunctiveQuery,
                      start: int = 1):
-    """Each GHD node becomes a view joining its cover atoms, projected to
-    the bag.  Atoms listed in several covers are materialized at each of
-    them.  An atom whose join-relevant variables survive in no covering
-    node's bag (including atoms covered only via bag containment) gets a
-    singleton child view, so no join constraint is silently dropped.
+    """Each GHD node becomes a set-valued view, DISTINCT pi_bag(join of its
+    cover atoms), and each atom is attached exactly once, as an
+    atom-labelled leaf under the first node (in node order) whose bag
+    contains its variables.  The views only filter; result multiplicities
+    come from the atom leaves alone, so covers may overlap or reuse atoms.
 
-    View ids are v<start>, v<start+1>, .. in preorder.
+    View ids are v<start>, v<start+1>, .. in preorder; the atom leaves
+    continue the numbering in atom-id order.
     """
     h = Hypergraph({a.atom_id: a.variables for a in cq.atoms})
     if not validate_ghd(h, g):
         raise InvalidGHD("decomposition does not validate against the query")
-
-    occurrences: dict = {}
-    for atom in cq.atoms:
-        for v in atom.variables:
-            occurrences[v] = occurrences.get(v, 0) + 1
-    relevant = {v for v, n in occurrences.items() if n > 1}
-    relevant.update(cq.projection_vars())
-
-    covered = set()
-    for node in g.nodes:
-        for atom_id in g.covers[node]:
-            if cq.atom(atom_id).variables & relevant <= g.bags[node]:
-                covered.add(atom_id)
-    extra: dict = {}
-    for atom in cq.atoms:
-        if atom.atom_id in covered:
-            continue
-        host = next(n for n in sorted(g.bags)
-                    if atom.variables <= g.bags[n])
-        extra.setdefault(host, []).append(atom.atom_id)
 
     view_ids: dict = {}
     counter = itertools.count(start)
@@ -556,19 +533,15 @@ def ghd_to_join_tree(g: GHDecomposition, cq: ConjunctiveQuery,
             tuple(sorted(g.covers[node])),
             tuple(sorted(g.bags[node])),
         ))
-    for host in sorted(extra):
-        for atom_id in sorted(extra[host]):
-            vid = f"v{next(counter)}"
-            atom = cq.atom(atom_id)
-            labels[vid] = view_label(vid)
-            attrs[vid] = atom.variables
-            parent[vid] = view_ids[host]
-            views.append(ViewDefinition(vid, (atom_id,),
-                                        tuple(sorted(atom.variables))))
-    tree = JoinTree(view_ids[g.root], parent, labels, attrs)
-    if not connectedness_holds(tree):
-        raise InvalidGHD("bag-level connectedness violated")
-    return tree, views
+    for atom in sorted(cq.atoms, key=lambda a: a.atom_id):
+        host = next(n for n in g.nodes if atom.variables <= g.bags[n])
+        leaf = f"v{next(counter)}"
+        labels[leaf] = base_atom(atom.atom_id)
+        attrs[leaf] = atom.variables
+        parent[leaf] = view_ids[host]
+    # validate_ghd checked connectedness over the bags, and each leaf's
+    # variables lie inside its host's bag
+    return JoinTree(view_ids[g.root], parent, labels, attrs), views
 
 
 # ---------------------------------------------------------------------------

@@ -551,7 +551,7 @@ def eval_plan(plan: StagePlan, db: Mapping[str, Relation],
             for scan_body in body.scans:
                 rel = _eval_scan(scan_body, db)
                 joined = rel if joined is None else natural_join(joined, rel)
-            return project(joined, body.project)
+            return distinct(project(joined, body.project))
         if isinstance(body, SemiJoin):
             rel = _lookup(env, body.source)
             for f in body.filters:

@@ -103,7 +103,8 @@ def compile_cq(cq: ConjunctiveQuery, mode: str = "auto",
                     a for a in cq.atoms if a.atom_id in comp.edges))
                 try:
                     tree, comp_views = ghd_to_join_tree(
-                        decomposition, comp_cq, start=len(views) + 1)
+                        decomposition, comp_cq,
+                        start=1 + sum(len(t.labels) for t in trees))
                 except InvalidGHD:
                     raise PipelineError("decomposition does not validate")
                 trees.append(tree)

@@ -72,7 +72,8 @@ class BaseScan:
 
 @dataclass(frozen=True)
 class ViewJoin:
-    """Local join of several base scans (a GHD node), projected to the bag."""
+    """Local join of several base scans (a GHD node), projected to the bag
+    without duplicates."""
     scans: tuple                 # BaseScan, cover order
     project: tuple               # variables
 
@@ -367,15 +368,6 @@ def build_plan(trees, form, mode: Mode, join_group_cap: int = 12,
                 raise PlanError(f"missing view definition {label.ref!r}")
 
     warnings: list = []
-    seen_atoms: list = []
-    for v in views:
-        seen_atoms.extend(v.atom_ids)
-    duplicated = sorted({a for a in seen_atoms if seen_atoms.count(a) > 1})
-    if duplicated:
-        warnings.append(
-            "atoms materialized at several decomposition nodes "
-            f"({', '.join(duplicated)}); result multiplicities may be inflated")
-
     out_vars = None
     if join_attrs_only:
         if mode is not Mode.FULL_ENUM or form.aggregates or form.grouping_vars \

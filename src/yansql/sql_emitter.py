@@ -29,7 +29,6 @@ class UnsupportedInDialect(EmitError):
 @dataclass(frozen=True)
 class Dialect:
     name: str                    # postgres | duckdb | spark | generic
-    temp_object: str             # TempTable | TempView
     semijoin_style: str          # RowIn | Exists
     supports_row_in: bool        # row constructors in IN predicates
     style_forced: bool = False   # error instead of falling back to EXISTS
@@ -38,10 +37,10 @@ class Dialect:
         return replace(self, semijoin_style=style, style_forced=forced)
 
 
-POSTGRES = Dialect("postgres", "TempTable", "Exists", True)
-DUCKDB = Dialect("duckdb", "TempTable", "Exists", True)
-SPARK = Dialect("spark", "TempView", "Exists", True)
-GENERIC = Dialect("generic", "TempTable", "Exists", False)
+POSTGRES = Dialect("postgres", "Exists", True)
+DUCKDB = Dialect("duckdb", "Exists", True)
+SPARK = Dialect("spark", "Exists", True)
+GENERIC = Dialect("generic", "Exists", False)
 
 DIALECTS = {d.name: d for d in (POSTGRES, DUCKDB, SPARK, GENERIC)}
 
@@ -88,9 +87,6 @@ class _Emitter:
         if stmt.kind == "view":
             self.created.append(("view", name))
             return f"CREATE VIEW {name} AS {select}"
-        if self.dialect.temp_object == "TempView":
-            self.created.append(("view", name))
-            return f"CREATE TEMP VIEW {name} AS {select}"
         self.created.append(("table", name))
         return f"CREATE TEMP TABLE {name} AS {select}"
 
@@ -141,7 +137,7 @@ class _Emitter:
             f"{var_home[v]} AS {_quote(v, self.dialect)}"
             for v in body.project
         ) or "1 AS one"
-        sql = f"SELECT {cols} FROM {', '.join(sources)}"
+        sql = f"SELECT DISTINCT {cols} FROM {', '.join(sources)}"
         if preds:
             sql += " WHERE " + " AND ".join(preds)
         return sql
@@ -283,8 +279,6 @@ def emit_plan(plan: StagePlan, dialect: Dialect, prefix: str = "",
               with_cleanup: bool = False) -> list:
     """One SQL string per plan statement (plus the final SELECT), in
     dependency order; deterministic and stable across runs."""
-    if dialect.name == "spark" and dialect.temp_object != "TempView":
-        raise EmitError("spark has no tables, only temporary views")
     return _Emitter(plan, dialect, prefix).emit(with_cleanup)
 
 

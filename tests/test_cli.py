@@ -198,9 +198,10 @@ def test_root_override(ex1_paths):
     assert code == 2  # courses is not a guard
 
 
-def test_compare_exit_1_on_mismatch(tmp_path, triangle_cq):
-    # an imported decomposition that reuses an atom at two nodes inflates
-    # multiplicities; compare reports the mismatch with exit code 1
+@pytest.fixture
+def reused_atom_paths(tmp_path):
+    # a triangle decomposition whose covers both use r, which holds a
+    # duplicate row
     sql = tmp_path / "tri.sql"
     sql.write_text(TRIANGLE_SQL, encoding="utf-8")
     ghd_file = tmp_path / "reused.ghd.json"
@@ -220,8 +221,33 @@ def test_compare_exit_1_on_mismatch(tmp_path, triangle_cq):
         "s": Relation.from_rows(("b", "c"), [(2, 3)]),
         "t": Relation.from_rows(("c", "a"), [(3, 1)]),
     }, db_dir)
-    code, text = run(["compare", str(sql), "--db", str(db_dir),
-                      "--ghd-file", str(ghd_file)])
+    return ["compare", str(sql), "--db", str(db_dir),
+            "--ghd-file", str(ghd_file)]
+
+
+def test_compare_imported_ghd_reusing_an_atom(reused_atom_paths):
+    code, text = run(reused_atom_paths)
+    assert code == 0
+    assert "bag-equal: true" in text
+
+
+def test_compare_exit_1_on_mismatch(monkeypatch, reused_atom_paths):
+    # a plan result that lost a row must be reported with exit code 1
+    import dataclasses
+
+    import yansql.pipeline
+    from yansql.engine import Relation
+
+    real_eval_plan = yansql.pipeline.eval_plan
+
+    def drop_one_row(plan, db, **kwargs):
+        res = real_eval_plan(plan, db, **kwargs)
+        rel = res.relation
+        return dataclasses.replace(res, relation=Relation.from_rows(
+            rel.schema, rel.expanded()[1:]))
+
+    monkeypatch.setattr(yansql.pipeline, "eval_plan", drop_one_row)
+    code, text = run(reused_atom_paths)
     assert code == 1
     assert "bag-equal: false" in text
 

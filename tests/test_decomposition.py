@@ -312,42 +312,47 @@ def test_validate_ghd_rejects_connectedness_violation():
     assert not validate_ghd(h, ghd)
 
 
+def _atom_leaves(tree) -> list:
+    """Atom refs of the tree's atom-labelled nodes, each checked a leaf."""
+    refs = []
+    for node, label in tree.labels.items():
+        if label.kind == "atom":
+            assert tree.children(node) == ()
+            refs.append(label.ref)
+    return sorted(refs)
+
+
 def test_ghd_to_join_tree_triangle(triangle_cq):
     h = build_hypergraph(triangle_cq)
     ghd = find_ghd(h, 2)
     tree, views = ghd_to_join_tree(ghd, triangle_cq)
     assert connectedness_holds(tree)
-    assert len(views) == 2
-    assert sorted(v.view_id for v in views) == ["v1", "v2"]
-    by_id = {v.view_id: v for v in views}
-    root_view = by_id[tree.root]
-    assert all(tree.labels[n].kind == "view" for n in tree.nodes)
-    covered = sorted(a for v in views for a in v.atom_ids)
-    assert covered == ["r", "s", "t"]
+    # one view per GHD node, then one leaf per atom
+    assert [v.view_id for v in views] == ["v1", "v2"]
+    assert sorted(v.atom_ids for v in views) == sorted(
+        tuple(sorted(c)) for c in ghd.covers.values())
+    assert all(tree.labels[v.view_id].kind == "view" for v in views)
+    assert tree.root == "v1"
+    assert _atom_leaves(tree) == ["r", "s", "t"]
+    assert tree.nodes == ("v1", "v2", "v3", "v4", "v5")
 
 
 def test_ghd_to_join_tree_covers_every_atom(triangle_cq):
     # an imported decomposition may cover an atom only via bag containment;
-    # conversion must still give that atom a view
+    # that atom still gets its own leaf
     h = build_hypergraph(triangle_cq)
     ghd = GHDecomposition(
-        root="n0",
-        parent={"n1": "n0"},
-        bags={"n0": frozenset({"a", "b", "c"}), "n1": frozenset({"c", "a"})},
-        covers={"n0": frozenset({"r", "s"}), "n1": frozenset({"t"})},
-    )
-    # replace n1's cover by bag-only coverage of t
-    ghd2 = GHDecomposition(
         root="n0",
         parent={},
         bags={"n0": frozenset({"a", "b", "c"})},
         covers={"n0": frozenset({"r", "s"})},
     )
-    assert validate_ghd(h, ghd2)  # t is inside the bag
-    tree, views = ghd_to_join_tree(ghd2, triangle_cq)
-    covered = sorted(a for v in views for a in v.atom_ids)
-    assert covered == ["r", "s", "t"]
-    assert len(tree.nodes) == 2
+    assert validate_ghd(h, ghd)  # t is inside the bag
+    tree, views = ghd_to_join_tree(ghd, triangle_cq)
+    assert [(v.view_id, v.atom_ids) for v in views] == [("v1", ("r", "s"))]
+    assert _atom_leaves(tree) == ["r", "s", "t"]
+    assert len(tree.nodes) == 4
+    assert all(tree.parent[n] == "v1" for n in tree.nodes if n != "v1")
 
 
 def test_ghd_to_join_tree_projection_only(university_cq):

@@ -1,12 +1,19 @@
-import pytest
+import random
 
-from yansql.decomposition import GHDecomposition, ghd_to_join_tree
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from yansql.decomposition import (GHDecomposition, find_ghd, ghd_to_join_tree,
+                                  validate_ghd)
 from yansql.engine import Relation, bag_equal, eval_naive, eval_plan
 from yansql.pipeline import (CyclicQuery, PipelineError, compare_on_db,
                              compile_cq, compile_sql)
 from yansql.plan_builder import Mode, StageKind
 from yansql.sql_frontend import extract_cq, parse_query
-from conftest import EX1_SQL, UNIVERSITY_SQL
+from yansql.testing import (cq_from_hypergraph, random_cyclic_hypergraph,
+                            random_database)
+from conftest import EX1_SQL, UNIVERSITY_SQL, run_on_sqlite
 
 
 def test_auto_mode_selection_matrix():
@@ -76,9 +83,9 @@ def test_partial_plan_restricts_down_pass(university_cq, university_db):
     assert cmp.equal
 
 
-def test_imported_ghd_with_reused_atom_inflates_multiplicities(triangle_cq):
-    # covers reusing one atom are materialized at each node per the
-    # conversion contract; the plan then over-counts duplicated base rows
+def test_imported_ghd_with_reused_atom_is_bag_equal(triangle_cq):
+    # covers may reuse an atom: node views are sets and every atom is
+    # counted once, at its own leaf, so r's duplicate row is not inflated
     ghd = GHDecomposition(
         root="n0",
         parent={"n1": "n0"},
@@ -86,7 +93,7 @@ def test_imported_ghd_with_reused_atom_inflates_multiplicities(triangle_cq):
         covers={"n0": frozenset({"r", "s"}), "n1": frozenset({"t", "r"})},
     )
     compiled = compile_cq(triangle_cq, ghd=ghd)
-    assert any("multiplicities" in w for w in compiled.warnings)
+    assert compiled.warnings == ()
     db = {
         "r": Relation.from_rows(("a", "b"), [(1, 2), (1, 2)]),
         "s": Relation.from_rows(("b", "c"), [(2, 3)]),
@@ -95,10 +102,8 @@ def test_imported_ghd_with_reused_atom_inflates_multiplicities(triangle_cq):
     naive = eval_naive(triangle_cq, db)
     res = eval_plan(compiled.plan, db)
     assert naive.cardinality() == 2
-    assert res.relation.cardinality() == 4  # r counted at both nodes
-    assert not bag_equal(res.relation, naive)
-    # identical answers as sets
-    assert set(res.relation.rows) == set(naive.rows)
+    assert bag_equal(res.relation, naive)
+    assert run_on_sqlite(compiled.plan, db) == naive.rows
 
 
 def test_width1_ghd_plan_equivalent_to_base_plan(university_cq, university_db):
@@ -137,7 +142,6 @@ def test_imported_ghd_with_shrunk_bag_projects_view():
     compiled = compile_cq(cq, ghd=ghd)
     projections = sorted(v.projection for v in compiled.views)
     assert ("k",) in projections  # the projection-only view over r
-    assert any("multiplicities" in w for w in compiled.warnings)
     db = {
         "r": Relation.from_rows(("a", "k", "p"), [(1, 7, 5), (2, 8, -1)]),
         "s": Relation.from_rows(("b", "k"), [(10, 7), (10, 8)]),
@@ -146,9 +150,9 @@ def test_imported_ghd_with_shrunk_bag_projects_view():
     assert bag_equal(res.relation, eval_naive(cq, db))
 
 
-def test_imported_ghd_dropping_join_var_gets_completion_view(triangle_cq):
-    # bag {a} for cover {t} loses the t.c join constraint; conversion adds
-    # a full singleton view for t so the result stays correct
+def test_imported_ghd_dropping_join_var_keeps_atom_leaf(triangle_cq):
+    # bag {a} for cover {t} loses the t.c join constraint at that node; t's
+    # own leaf under the {a, b, c} bag keeps it, so the result stays correct
     ghd = GHDecomposition(
         root="n0",
         parent={"n1": "n0"},
@@ -156,9 +160,14 @@ def test_imported_ghd_dropping_join_var_gets_completion_view(triangle_cq):
         covers={"n0": frozenset({"r", "s"}), "n1": frozenset({"t"})},
     )
     compiled = compile_cq(triangle_cq, ghd=ghd)
-    assert len(compiled.views) == 3
-    covered = sorted(a for v in compiled.views for a in v.atom_ids)
-    assert covered == ["r", "s", "t", "t"]
+    assert len(compiled.views) == 2
+    tree = compiled.trees[0]
+    t_leaves = [n for n, lbl in tree.labels.items() if lbl.ref == "t"]
+    assert len(t_leaves) == 1
+    (leaf,) = t_leaves
+    assert tree.labels[leaf].kind == "atom"
+    assert tree.children(leaf) == ()
+    assert tree.attrs[tree.parent[leaf]] == frozenset({"a", "b", "c"})
     db = {
         "r": Relation.from_rows(("a", "b"), [(1, 2)]),
         "s": Relation.from_rows(("b", "c"), [(2, 3)]),
@@ -191,6 +200,68 @@ def test_mixed_cyclic_and_acyclic_components():
         "u": Relation.from_rows(("z",), [(7,), (8,)]),
     }
     assert compare_on_db(compiled, db).equal
+
+
+def test_two_disjoint_cyclic_components():
+    # each cyclic component gets its own views and atom leaves; their node
+    # ids must not collide
+    sql = ("SELECT r.a, u.d FROM r, s, t, u, w, x "
+           "WHERE r.a = t.a AND r.b = s.b AND s.c = t.c "
+           "AND u.d = x.d AND u.e = w.e AND w.f = x.f")
+    cq = extract_cq(parse_query(sql))
+    compiled = compile_cq(cq, ghd_width=2)
+    assert len(compiled.trees) == 2
+    assert len(compiled.views) == 4
+    db = {
+        "r": Relation.from_rows(("a", "b"), [(1, 2), (1, 2), (5, 6)]),
+        "s": Relation.from_rows(("b", "c"), [(2, 3)]),
+        "t": Relation.from_rows(("c", "a"), [(3, 1)]),
+        "u": Relation.from_rows(("d", "e"), [(7, 8)]),
+        "w": Relation.from_rows(("e", "f"), [(8, 9), (8, 9)]),
+        "x": Relation.from_rows(("f", "d"), [(9, 7), (9, 4)]),
+    }
+    cmp = compare_on_db(compiled, db)
+    assert cmp.equal
+    assert cmp.naive.cardinality() == 4
+
+
+def test_explicit_zeroma_over_a_decomposition_roots_at_the_guard_leaf():
+    # the guard's own atom leaf can root a 0MA plan over the views
+    compiled = compile_sql(
+        "SELECT r.a, MIN(r.b) FROM r, s, t "
+        "WHERE r.a = t.a AND r.b = s.b AND s.c = t.c GROUP BY r.a",
+        ghd_width=2, mode="zeroma")
+    tree = compiled.trees[0]
+    assert tree.labels[tree.root].ref == "r"
+    assert tree.labels[tree.root].kind == "atom"
+    db = {
+        "r": Relation.from_rows(("a", "b"), [(1, 2), (1, 5), (1, 2), (4, 2)]),
+        "s": Relation.from_rows(("b", "c"), [(2, 3), (5, 3)]),
+        "t": Relation.from_rows(("c", "a"), [(3, 1)]),
+    }
+    cmp = compare_on_db(compiled, db)
+    assert cmp.equal
+    assert cmp.naive.rows == {(1, 2): 1}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9))
+def test_ghd_with_an_atom_added_to_a_cover_stays_bag_equal(seed):
+    # a cover may hold an atom that another node covers too: the plan must
+    # still count every atom once, in the engine and on sqlite3
+    rng = random.Random(seed)
+    h = random_cyclic_hypergraph(rng)
+    ghd = find_ghd(h, 2)
+    node = rng.choice(ghd.nodes)
+    extra = rng.choice(sorted(set(h.edges) - ghd.covers[node]))
+    ghd.covers[node] = ghd.covers[node] | {extra}
+    assert validate_ghd(h, ghd)
+    cq = cq_from_hypergraph(h)
+    db = random_database(rng, cq, max_rows=20)
+    plan = compile_cq(cq, ghd=ghd).plan
+    naive = eval_naive(cq, db)
+    assert bag_equal(eval_plan(plan, db).relation, naive)
+    assert run_on_sqlite(plan, db) == naive.rows
 
 
 def test_compiled_carries_report_and_hypergraph(ex1_cq):
