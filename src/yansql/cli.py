@@ -37,15 +37,17 @@ def _load_db(cfg: argparse.Namespace, cq) -> dict:
 
 
 def _print_relation(rel: Relation, fmt: str, out):
-    if fmt == "tsv":
-        out.write("\t".join(rel.schema) + "\n")
-        for row in rel.expanded():
-            out.write("\t".join("" if v is None else str(v) for v in row) + "\n")
-        return
-    out.write(" | ".join(rel.schema) + "\n")
-    for row in rel.expanded():
-        out.write(" | ".join("NULL" if v is None else str(v) for v in row) + "\n")
-    out.write(f"({rel.cardinality()} row(s))\n")
+    sep, null = ("\t", "") if fmt == "tsv" else (" | ", "NULL")
+    rows = rel.expanded()
+    try:  # all-string rows join in C
+        lines = list(map(sep.join, rows))
+    except TypeError:
+        lines = [sep.join(null if v is None else str(v) for v in row)
+                 for row in rows]
+    lines.insert(0, sep.join(rel.schema))
+    if fmt != "tsv":
+        lines.append(f"({len(rows)} row(s))")
+    out.write("\n".join(lines) + "\n")
 
 
 def _print_stats(stats, out):

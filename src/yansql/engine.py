@@ -27,6 +27,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
 from typing import Mapping, Optional
 
 from .classification import normalize_aggregation
@@ -138,13 +140,10 @@ def _sorted_rows(rows) -> list:
 
 
 def _columns_getter(idx):
-    """Row -> tuple of the values at positions `idx`; one or no position
-    still gives a tuple."""
+    """Row -> tuple of the values at positions `idx`, however many."""
     if len(idx) == 1:
         return operator.itemgetter(slice(idx[0], idx[0] + 1))
-    if not idx:
-        return operator.itemgetter(slice(0))
-    return operator.itemgetter(*idx)
+    return _key_getter(idx)
 
 
 def bag_equal(a: Relation, b: Relation) -> bool:
@@ -283,41 +282,68 @@ def scan(rel: Relation, selections, equalities, columns) -> Relation:
     return Relation(schema, rows)
 
 
+def _key_getter(idx):
+    """Row -> join key: a bare value for one position (cheaper to build and
+    hash than a 1-tuple), otherwise a tuple."""
+    return operator.itemgetter(*idx) if idx else operator.itemgetter(slice(0))
+
+
+def _null_keys(keys) -> list:
+    """The join keys among `keys` that hold a null; they never match."""
+    return [k for k in keys if k is None or type(k) is tuple and None in k]
+
+
 def semi_join(left: Relation, right: Relation, keys) -> Relation:
     """Left tuples with at least one right match on all keys; multiplicities
     of surviving tuples are preserved exactly.  `keys` pairs (left attribute,
     right attribute); null keys never match."""
-    if not keys:
-        return left if right.cardinality() else Relation(left.schema)
-    left_key = _columns_getter([left.column(a) for a, _ in keys])
-    right_key = _columns_getter([right.column(b) for _, b in keys])
-    # a left key with a null equals no right key, since none has a null
-    right_keys = {k for k in map(right_key, right.rows) if None not in k}
-    rows = Counter({row: count for row, count in left.rows.items()
-                    if left_key(row) in right_keys})
-    if len(rows) == len(left.rows):
+    left_key = _key_getter([left.column(a) for a, _ in keys])
+    right_key = _key_getter([right.column(b) for _, b in keys])
+    if len(left.rows) < len(right.rows):
+        matched = set(map(left_key, left.rows)).intersection(
+            map(right_key, right.rows))
+    else:
+        matched = set(map(right_key, right.rows))
+    matched.difference_update(_null_keys(matched))
+    keep = list(map(matched.__contains__, map(left_key, left.rows)))
+    if all(keep):
         return left
-    return Relation(left.schema, rows)
+    return Relation(left.schema,
+                    Counter(dict(compress(left.rows.items(), keep))))
 
 
-def natural_join(left: Relation, right: Relation) -> Relation:
+def natural_join(left: Relation, right: Relation, columns=None) -> Relation:
     """Bag join on shared attribute names; output multiplicity is the
-    product of matching multiplicities; null keys never match."""
+    product of matching multiplicities; null keys never match.  Hashes the
+    input with fewer distinct rows.  Columns: `left.schema` then the
+    right-only ones, or `columns`, a bag projection fused into the join."""
     shared = [c for c in left.schema if c in right.schema]
-    right_extra = [c for c in right.schema if c not in shared]
-    left_key = _columns_getter([left.column(c) for c in shared])
-    right_key = _columns_getter([right.column(c) for c in shared])
-    extra = _columns_getter([right.column(c) for c in right_extra])
+    schema = left.schema + tuple(c for c in right.schema if c not in shared)
+    columns = schema if columns is None else tuple(columns)
+    build, probe = (left, right) if len(left.rows) < len(right.rows) \
+        else (right, left)
+    build_only = [c for c in build.schema if c not in shared]
+    # an output row is picked from a probe row and its build-only values
+    joined = Relation(probe.schema + tuple(build_only))
+    pick = None if columns == joined.schema \
+        else _columns_getter([joined.column(c) for c in columns])
+    probe_key = _key_getter([probe.column(c) for c in shared])
+    build_key = _key_getter([build.column(c) for c in shared])
+    tail = _columns_getter([build.column(c) for c in build_only])
     index: dict = {}
-    for row, count in right.rows.items():
-        key = right_key(row)
-        if None not in key:
-            index.setdefault(key, []).append((extra(row), count))
+    for row, count in build.rows.items():
+        index.setdefault(build_key(row), []).append((tail(row), count))
+    for key in _null_keys(index):
+        del index[key]
+    # full rows, in any column order, are distinct; dropped columns add up
+    permutes = sorted(columns) == sorted(schema)
     rows = Counter()
-    for row, count in left.rows.items():
-        for tail, rcount in index.get(left_key(row), ()):
-            rows[row + tail] += count * rcount
-    return Relation(left.schema + tuple(right_extra), rows)
+    for row, count in probe.rows.items():
+        for extra, build_count in index.get(probe_key(row), ()):
+            out = row + extra if pick is None else pick(row + extra)
+            rows[out] = count * build_count if permutes \
+                else rows[out] + count * build_count
+    return Relation(columns, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +573,9 @@ def eval_plan(plan: StagePlan, db: Mapping[str, Relation],
         if isinstance(body, BaseScan):
             return _eval_scan(body, db)
         if isinstance(body, ViewJoin):
-            joined = None
-            for scan_body in body.scans:
-                rel = _eval_scan(scan_body, db)
-                joined = rel if joined is None else natural_join(joined, rel)
-            return distinct(project(joined, body.project))
+            return distinct(_join_project(
+                [_eval_scan(scan_body, db) for scan_body in body.scans],
+                body.project))
         if isinstance(body, SemiJoin):
             rel = _lookup(env, body.source)
             for f in body.filters:
@@ -559,11 +583,8 @@ def eval_plan(plan: StagePlan, db: Mapping[str, Relation],
                                 [(k, k) for k in f.keys])
             return rel
         if isinstance(body, NaturalJoin):
-            joined = None
-            for handle in body.inputs:
-                rel = _lookup(env, handle)
-                joined = rel if joined is None else natural_join(joined, rel)
-            return project(joined, body.project)
+            return _join_project([_lookup(env, handle)
+                                  for handle in body.inputs], body.project)
         raise PlanReferenceError(f"unexpected body {body!r}")
 
     for kind in StageKind:
@@ -607,6 +628,14 @@ def eval_plan(plan: StagePlan, db: Mapping[str, Relation],
     if result is None:
         raise PlanReferenceError("plan has no FINALIZE statement")
     return EvalResult(result, stats, env)
+
+
+def _join_project(rels: list, columns) -> Relation:
+    """`rels` joined left to right, projected to `columns` in the last join."""
+    if len(rels) == 1:
+        return project(rels[0], columns)
+    return natural_join(reduce(natural_join, rels[1:-1], rels[0]), rels[-1],
+                        columns)
 
 
 def _eval_scan(body: BaseScan, db: Mapping[str, Relation]) -> Relation:

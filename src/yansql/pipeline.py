@@ -2,7 +2,8 @@
 join tree(s) (or decomposition for cyclic queries) -> classification ->
 staged plan.
 
-Mode auto-selection: 0MA queries run in zero-materialisation mode; set-safe
+Mode auto-selection: 0MA queries run in zero-materialisation mode, rooted at
+the guard's atom (for a decomposition, the guard's atom leaf); set-safe
 but unguarded queries run in partial mode when a proper covering subtree
 exists; everything else is full enumeration.  Disconnected queries fall back
 to full enumeration since semi-joins cannot propagate across components.
@@ -117,7 +118,7 @@ def compile_cq(cq: ConjunctiveQuery, mode: str = "auto",
 
     resolved: Mode
     if mode == "auto":
-        if report.is_0ma and connected and not uses_views:
+        if report.is_0ma and connected:
             resolved = Mode.ZERO_MA
         elif report.set_safe and connected:
             scope = plan_builder.covering_subtree(

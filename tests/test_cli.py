@@ -93,6 +93,43 @@ def test_exec_tsv_format(ex1_paths):
     assert "s1\t3" in text
 
 
+def _per_value_rendering(schema, rows, fmt):
+    """Reference rendering, one value at a time: str() of each value, null
+    as NULL (text) or as an empty field (tsv)."""
+    sep, null = ("\t", "") if fmt == "tsv" else (" | ", "NULL")
+    lines = [sep.join(schema)]
+    lines += [sep.join(null if v is None else str(v) for v in row)
+              for row in rows]
+    if fmt == "text":
+        lines.append(f"({len(rows)} row(s))")
+    return "".join(line + "\n" for line in lines)
+
+
+PRINT_CASES = {
+    # all-string rows, one duplicated: the bulk join
+    "strings": ("SELECT r.a, r.b FROM r", "a,b\nx,y\nx,y\np q,z\n", ("a", "b"),
+                [("p q", "z"), ("x", "y"), ("x", "y")]),
+    # ints, nulls and strings: the per-value fallback
+    "mixed": ("SELECT r.a, r.b FROM r", "a,b\n7,x\n,y\n-2,\n",
+              ("a", "b"), [(None, "y"), (-2, None), (7, "x")]),
+    "empty": ("SELECT r.a, r.b FROM r", "a,b\n", ("a", "b"), []),
+    "boolean": ("SELECT 1 FROM r", "a,b\nx,y\n", ("one",), [(1,)]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "tsv"])
+@pytest.mark.parametrize("case", sorted(PRINT_CASES))
+def test_exec_output_equals_per_value_rendering(tmp_path, case, fmt):
+    sql_text, csv_text, schema, rows = PRINT_CASES[case]
+    sql = tmp_path / "q.sql"
+    sql.write_text(sql_text, encoding="utf-8")
+    (tmp_path / "r.csv").write_text(csv_text, encoding="utf-8")
+    code, text = run(["exec", str(sql), "--db", str(tmp_path),
+                      "--format", fmt])
+    assert code == 0
+    assert text == _per_value_rendering(schema, rows, fmt)
+
+
 def test_compare_exit_codes(ex1_paths):
     sql, db = ex1_paths
     code, text = run(["compare", str(sql), "--db", str(db)])

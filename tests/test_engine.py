@@ -1,5 +1,6 @@
 import copy
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from yansql.engine import (AggregateTypeError, ArityMismatch, IoError,
                            UnknownAttribute, aggregate, bag_equal,
                            eval_naive, eval_naive_traced, eval_plan,
                            full_reducer_holds, load_csv, natural_join,
-                           render_fraction, semi_join, write_csv)
+                           project, render_fraction, semi_join,
+                           write_csv)
 from yansql.engine import _row_sort_key, _sorted_rows
 from yansql.pipeline import compile_cq, compile_sql
 from yansql.plan_builder import Mode, StageKind
@@ -156,6 +158,76 @@ def test_natural_join_null_key_never_matches():
     r = Relation.from_rows(("a", "c"), [(None, 9), (2, 9)])
     out = natural_join(l, r)
     assert out.rows == {(2, 2, 9): 1}
+
+
+def _nested_loop_join(left, right):
+    """Reference natural join: every pair of rows, no hashing."""
+    shared = [c for c in left.schema if c in right.schema]
+    extra = [c for c in right.schema if c not in shared]
+    rows = Counter()
+    for lrow, lcount in left.rows.items():
+        for rrow, rcount in right.rows.items():
+            lval = dict(zip(left.schema, lrow))
+            rval = dict(zip(right.schema, rrow))
+            if all(lval[c] is not None and lval[c] == rval[c]
+                   for c in shared):
+                rows[lrow + tuple(rval[c] for c in extra)] += lcount * rcount
+    return Relation(left.schema + tuple(extra), rows)
+
+
+def _nested_loop_semi_join(left, right, keys):
+    def matches(lrow, rrow):
+        return all(lrow[left.column(a)] is not None
+                   and lrow[left.column(a)] == rrow[right.column(b)]
+                   for a, b in keys)
+    return Relation(left.schema, Counter({
+        lrow: count for lrow, count in left.rows.items()
+        if any(matches(lrow, rrow) for rrow in right.rows)}))
+
+
+JOIN_VALUES = st.sampled_from([None, 0, 1, 2, "x"])
+
+
+@st.composite
+def join_inputs(draw):
+    """Two bags with 0-2 shared columns, in any column order, with
+    duplicates and nulls; the right one has one distinct row fewer, as many
+    or one more than the left one."""
+    shared = [f"k{i}" for i in range(draw(st.integers(0, 2)))]
+    rels = []
+    n_left = draw(st.integers(0, 4))
+    for side, n in (("l", n_left),
+                    ("r", max(0, n_left + draw(st.sampled_from([-1, 0, 1]))))):
+        own = draw(st.integers(0 if shared else 1, 2))
+        schema = draw(st.permutations(
+            shared + [f"{side}{i}" for i in range(own)]))
+        distinct_rows = draw(st.lists(
+            st.tuples(*[JOIN_VALUES] * len(schema)),
+            min_size=n, max_size=n, unique=True))
+        counts = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        rels.append(Relation(tuple(schema),
+                             Counter(dict(zip(distinct_rows, counts)))))
+    return rels
+
+
+@settings(max_examples=300, deadline=None)
+@given(join_inputs(), st.data())
+def test_join_operators_equal_nested_loops(inputs, data):
+    left, right = inputs
+    reference = _nested_loop_join(left, right)
+    assert natural_join(left, right) == reference
+    # the projection fused into the join: a permutation of every column,
+    # then one that may drop columns
+    permuted = data.draw(st.permutations(reference.schema))
+    assert natural_join(left, right, permuted) == project(reference, permuted)
+    kept = data.draw(st.lists(st.sampled_from(reference.schema), unique=True))
+    assert natural_join(left, right, kept) == project(reference, kept)
+    keys = [(c, c) for c in left.schema if c in right.schema]
+    expected = _nested_loop_semi_join(left, right, keys)
+    reduced = semi_join(left, right, keys)
+    assert reduced == expected
+    if expected.rows == left.rows:
+        assert reduced is left
 
 
 # ---------------------------------------------------------------------------

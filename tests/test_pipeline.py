@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from yansql.engine import Relation, bag_equal, eval_naive, eval_plan
 from yansql.pipeline import (CyclicQuery, PipelineError, compare_on_db,
                              compile_cq, compile_sql)
 from yansql.plan_builder import Mode, StageKind
-from yansql.sql_frontend import extract_cq, parse_query
+from yansql.sql_frontend import AggregateCall, extract_cq, parse_query
 from yansql.testing import (cq_from_hypergraph, random_cyclic_hypergraph,
                             random_database)
 from conftest import EX1_SQL, UNIVERSITY_SQL, run_on_sqlite
@@ -225,23 +226,57 @@ def test_two_disjoint_cyclic_components():
     assert cmp.naive.cardinality() == 4
 
 
+TRIANGLE_MIN_SQL = ("SELECT r.a, MIN(r.b) FROM r, s, t "
+                    "WHERE r.a = t.a AND r.b = s.b AND s.c = t.c GROUP BY r.a")
+TRIANGLE_MIN_DB = {
+    "r": Relation.from_rows(("a", "b"), [(1, 2), (1, 5), (1, 2), (4, 2)]),
+    "s": Relation.from_rows(("b", "c"), [(2, 3), (5, 3)]),
+    "t": Relation.from_rows(("c", "a"), [(3, 1)]),
+}
+
+
 def test_explicit_zeroma_over_a_decomposition_roots_at_the_guard_leaf():
     # the guard's own atom leaf can root a 0MA plan over the views
-    compiled = compile_sql(
-        "SELECT r.a, MIN(r.b) FROM r, s, t "
-        "WHERE r.a = t.a AND r.b = s.b AND s.c = t.c GROUP BY r.a",
-        ghd_width=2, mode="zeroma")
+    compiled = compile_sql(TRIANGLE_MIN_SQL, ghd_width=2, mode="zeroma")
     tree = compiled.trees[0]
     assert tree.labels[tree.root].ref == "r"
     assert tree.labels[tree.root].kind == "atom"
-    db = {
-        "r": Relation.from_rows(("a", "b"), [(1, 2), (1, 5), (1, 2), (4, 2)]),
-        "s": Relation.from_rows(("b", "c"), [(2, 3), (5, 3)]),
-        "t": Relation.from_rows(("c", "a"), [(3, 1)]),
-    }
-    cmp = compare_on_db(compiled, db)
+    cmp = compare_on_db(compiled, TRIANGLE_MIN_DB)
     assert cmp.equal
     assert cmp.naive.rows == {(1, 2): 1}
+
+
+def test_auto_mode_picks_zeroma_over_a_decomposition():
+    compiled = compile_sql(TRIANGLE_MIN_SQL, ghd_width=2)
+    assert compiled.views
+    assert compiled.mode is Mode.ZERO_MA
+    assert not compiled.plan.stage(StageKind.JOIN)
+    naive = eval_naive(compiled.cq, TRIANGLE_MIN_DB)
+    assert naive.rows == {(1, 2): 1}
+    assert bag_equal(eval_plan(compiled.plan, TRIANGLE_MIN_DB).relation, naive)
+    assert run_on_sqlite(compiled.plan, TRIANGLE_MIN_DB) == naive.rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_auto_mode_zeroma_over_random_cycles(seed):
+    # MIN/MAX of a guard atom's variable, grouped by some of its variables:
+    # auto mode roots the plan at the guard's atom leaf
+    rng = random.Random(seed)
+    h = random_cyclic_hypergraph(rng)
+    guard_vars = sorted(h.edges[rng.choice(sorted(h.edges))])
+    grouping = tuple(sorted(rng.sample(guard_vars, rng.randint(0, 2))))
+    call = AggregateCall(rng.choice(["MIN", "MAX"]), rng.choice(guard_vars),
+                         False)
+    cq = replace(cq_from_hypergraph(h), output_vars=grouping,
+                 grouping_vars=grouping, aggregates=(call,))
+    compiled = compile_cq(cq, ghd_width=2)
+    assert compiled.views
+    assert compiled.mode is Mode.ZERO_MA
+    db = random_database(rng, cq, max_rows=20)
+    naive = eval_naive(cq, db)
+    assert bag_equal(eval_plan(compiled.plan, db).relation, naive)
+    assert run_on_sqlite(compiled.plan, db) == naive.rows
 
 
 @settings(max_examples=30, deadline=None)
