@@ -28,14 +28,14 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
+from itertools import compress, repeat
 from typing import Mapping, Optional
 
 from .classification import normalize_aggregation
 from .errors import YansqlError
-from .plan_builder import (BaseScan, Finalize, Mode, NaturalJoin, SemiJoin,
-                           StageKind, StagePlan, ViewJoin, base_scan,
-                           finalize_spec)
+from .plan_builder import (BaseScan, Finalize, Mode, NaturalJoin,
+                           OutputColumn, SemiJoin, StageKind, StagePlan,
+                           ViewJoin, base_scan, finalize_spec)
 from .sql_frontend import ConjunctiveQuery
 
 
@@ -132,9 +132,16 @@ def _sorted_rows(rows) -> list:
     A plain sort gives that same order whenever it raises no TypeError: null
     compares unequal to everything but null, and a string against a number
     raises, so every comparison that decided the order was between two
-    values the key would also have compared directly."""
+    values the key would also have compared directly.  Leading columns that
+    hold one value in every row never decide the order, so the plain sort
+    leaves them out of its key (a bare value when one column is left)."""
     try:
-        return sorted(rows)
+        first = next(iter(rows), ())
+        skip = next((i for i, value in enumerate(first) if not all(map(
+            operator.eq, map(operator.itemgetter(i), rows), repeat(value)))),
+            len(first))
+        return sorted(rows, key=_key_getter(range(skip, len(first)))
+                      if skip else None)
     except TypeError:
         return sorted(rows, key=_row_sort_key)
 
@@ -152,19 +159,12 @@ def bag_equal(a: Relation, b: Relation) -> bool:
         return False
     if a.schema == b.schema:
         return a.rows == b.rows
-    # map each column of a to the matching occurrence in b
-    positions: dict = {}
-    perm = []
-    for name in a.schema:
-        occurrence = positions.get(name, 0)
-        positions[name] = occurrence + 1
-        indices = [j for j, col in enumerate(b.schema) if col == name]
-        perm.append(indices[occurrence])
-    key = _columns_getter(perm)
-    remapped = Counter()
-    for row, count in b.rows.items():
-        remapped[key(row)] += count
-    return a.rows == remapped
+    # the k-th column of a name in a is the k-th column of that name in b
+    order_a, order_b = (sorted(range(len(schema)), key=schema.__getitem__)
+                        for schema in (a.schema, b.schema))
+    key = _columns_getter([j for _, j in sorted(zip(order_a, order_b))])
+    # a permutation of distinct rows leaves them distinct
+    return a.rows == Counter(dict(zip(map(key, b.rows), b.rows.values())))
 
 
 def project(rel: Relation, columns) -> Relation:
@@ -227,6 +227,10 @@ def load_csv(path, declared_schema=None) -> Relation:
             rows = Counter(_parsed_rows(path, reader, len(schema)))
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IoError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise IoError(f"{path}:{reader.line_num}: {exc}") from exc
     return Relation(schema, rows)
 
 
@@ -350,126 +354,125 @@ def natural_join(left: Relation, right: Relation, columns=None) -> Relation:
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def _agg_raw(func: str, cells: list):
-    """SQL aggregate over non-null (value, multiplicity) pairs; empty -> null
-    except COUNT.  AVG yields an exact Fraction."""
-    if func == "COUNT":
-        return sum(count for _, count in cells)
-    if not cells:
-        return None
-    values = [value for value, _ in cells]
-    if func in ("MIN", "MAX"):
-        kinds = {isinstance(v, int) for v in values}
-        if len(kinds) > 1:
-            raise AggregateTypeError(f"{func} over mixed value types")
-        return min(values) if func == "MIN" else max(values)
-    if any(not isinstance(v, int) for v in values):
-        raise AggregateTypeError(f"{func} needs integer input")
-    total = sum(value * count for value, count in cells)
-    if func == "SUM":
-        return total
-    if func == "AVG":
-        return Fraction(total, sum(count for _, count in cells))
-    raise EngineError(f"unknown aggregate {func!r}")
-
-
 def render_fraction(value: Fraction) -> str:
     dec = Decimal(value.numerator) / Decimal(value.denominator)
     return str(dec.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN))
 
 
-def _aggregate_raw(rel: Relation, grouping, aggs, distinct_input: bool):
-    """Group and compute raw aggregate values (AVG stays a Fraction)."""
-    if distinct_input:
-        rel = distinct(rel)
-    grouping = tuple(grouping)
-    agg_idx = [rel.column(a.var) for a in aggs]
-    group_key = _columns_getter([rel.column(a) for a in grouping])
-    groups: dict = {}
-    for row, count in rel.rows.items():
-        groups.setdefault(group_key(row), []).append((row, count))
-    out_rows = []
-    if not grouping and not groups and aggs:
-        # global aggregate over empty input: one row of nulls, COUNT -> 0
-        out_rows.append(((), tuple(0 if a.func == "COUNT" else None
-                                   for a in aggs)))
-        return grouping, out_rows
-    for key in _sorted_rows(groups):
-        members = groups[key]
-        values = []
-        for pos, agg in zip(agg_idx, aggs):
-            if agg.distinct:
-                cells = [(cell, 1) for cell in
-                         dict.fromkeys(row[pos] for row, _ in members)
-                         if cell is not None]
-            else:
-                cells = [(row[pos], count) for row, count in members
-                         if row[pos] is not None]
-            values.append(_agg_raw(agg.func, cells))
-        out_rows.append((key, tuple(values)))
-    return grouping, out_rows
+# Each fold maps every group to its aggregate over the rows whose group keys
+# are `keys`, with `values` the call's column and `counts` the multiplicities.
+
+def _fold_count(func, groups, keys, values, counts) -> dict:
+    out = dict.fromkeys(groups, 0)
+    for key, value, count in zip(keys, values, counts):
+        if value is not None:
+            out[key] += count
+    return out
+
+
+def _fold_sum(func, groups, keys, values, counts) -> dict:
+    """SUM, or AVG as an exact Fraction; null for a group of nulls."""
+    if not all(issubclass(kind, int)
+               for kind in set(map(type, values)) - {type(None)}):
+        raise AggregateTypeError(f"{func} needs integer input")
+    totals = dict.fromkeys(groups, 0)
+    ns = dict.fromkeys(groups, 0)
+    for key, value, count in zip(keys, values, counts):
+        if value is not None:
+            totals[key] += value * count
+            ns[key] += count
+    finish = Fraction if func == "AVG" else lambda total, n: total
+    return {key: finish(total, ns[key]) if ns[key] else None
+            for key, total in totals.items()}
+
+
+def _fold_best(func, groups, keys, values, counts) -> dict:
+    """MIN or MAX: the running best; multiplicities never change it."""
+    better = operator.lt if func == "MIN" else operator.gt
+    best = dict.fromkeys(groups)
+    try:
+        for key, value in zip(keys, values):
+            if value is not None:
+                current = best[key]
+                if current is None or better(value, current):
+                    best[key] = value
+    except TypeError:  # a number against a string
+        raise AggregateTypeError(f"{func} over mixed value types") from None
+    return best
+
+
+_FOLDS = {"COUNT": _fold_count, "SUM": _fold_sum, "AVG": _fold_sum,
+          "MIN": _fold_best, "MAX": _fold_best}
+
+
+def _aggregate(rel: Relation, grouping, having, output) -> Relation:
+    """Group `rel` by `grouping`, fold every aggregate call of `output` and
+    `having` over all rows in one pass each, keep the groups that pass
+    `having` and pick the `output` columns ("one" is the constant 1).
+    Without grouping, calls see exactly one group, also over empty input;
+    with no calls either, there is one group if `rel` has rows.  Groups
+    are not sorted."""
+    grouping, schema = tuple(grouping), tuple(col.name for col in output)
+    if grouping and not rel.rows:  # no group
+        return Relation(schema)
+    calls = dict.fromkeys([col.agg for col in output if col.kind == "agg"]
+                          + ([having.call] if having is not None else []))
+    rows = rel.rows
+    keys = list(map(_columns_getter([rel.column(g) for g in grouping]), rows))
+    groups = dict.fromkeys(keys) if grouping or not calls else {(): None}
+    counts = list(rows.values())
+    folded = {}
+    for call in calls:
+        values = list(map(operator.itemgetter(rel.column(call.var)), rows))
+        column = (keys, values, counts)
+        if call.distinct:  # each value once per group
+            pairs = set(zip(keys, values))
+            column = ([k for k, _ in pairs], [v for _, v in pairs], repeat(1))
+        folded[call] = _FOLDS[call.func](call.func, groups, *column)
+    kept = list(groups)
+    if having is not None:
+        raw = folded[having.call]
+        kept = [key for key in kept
+                if _compare(raw[key], having.comparator, having.value)]
+    columns = []
+    for col in output:
+        if col.kind == "var":
+            picked = map(operator.itemgetter(grouping.index(col.name)), kept)
+        elif col.kind == "agg":
+            picked = map(folded[col.agg].__getitem__, kept)
+            if col.agg.func == "AVG":
+                picked = (v if v is None else render_fraction(v)
+                          for v in picked)
+        else:
+            picked = repeat(1, len(kept))
+        columns.append(picked)
+    return Relation(schema, Counter(zip(*columns)))
 
 
 def aggregate(rel: Relation, grouping, aggs, distinct_input: bool = False) -> Relation:
     """Group by `grouping` and apply the aggregate calls; with nonempty
     grouping, empty groups never appear.  AVG renders as a decimal string
     with six fractional digits."""
-    aggs = tuple(aggs)
-    grouping, raw = _aggregate_raw(rel, grouping, aggs, distinct_input)
-    schema = tuple(grouping) + tuple(a.column_name() for a in aggs)
-    rows = Counter()
-    for key, values in raw:
-        rendered = tuple(render_fraction(v) if isinstance(v, Fraction) else v
-                         for v in values)
-        rows[key + rendered] += 1
-    return Relation(schema, rows)
+    if distinct_input:
+        rel = distinct(rel)
+    output = [OutputColumn("var", g) for g in grouping]
+    output += [OutputColumn("agg", a.column_name(), a) for a in aggs]
+    return _aggregate(rel, grouping, None, output)
 
 
 # ---------------------------------------------------------------------------
 # Shared FINALIZE semantics
 # ---------------------------------------------------------------------------
 
-def _empty_output(fin: Finalize) -> Relation:
-    return Relation(tuple(c.name for c in fin.output))
-
 def _finalize_relation(rel: Optional[Relation], fin: Finalize) -> Relation:
     if fin.source is None or rel is None:
-        return _empty_output(fin)
-    if fin.project_first:
-        rel = project(rel, fin.project_first)
+        return Relation(tuple(c.name for c in fin.output))
     if fin.distinct_input:
-        rel = distinct(rel)
-
-    boolean = any(c.kind == "one" for c in fin.output)
-    calls = list(fin.aggregates)
-    if fin.having is not None and fin.having.call not in calls:
-        calls.append(fin.having.call)
-
-    if fin.group_by or calls:
-        grouping, raw = _aggregate_raw(rel, fin.group_by, tuple(calls), False)
-        agg_pos = {c.column_name(): i for i, c in enumerate(calls)}
-        rows = Counter()
-        for key, values in raw:
-            if fin.having is not None:
-                hv = values[agg_pos[fin.having.call.column_name()]]
-                if not _compare(hv, fin.having.comparator, fin.having.value):
-                    continue
-            out_row = []
-            for col in fin.output:
-                if col.kind == "var":
-                    out_row.append(key[grouping.index(col.name)])
-                elif col.kind == "agg":
-                    value = values[agg_pos[col.name]]
-                    if isinstance(value, Fraction):
-                        value = render_fraction(value)
-                    out_row.append(value)
-                else:
-                    out_row.append(1)
-            rows[tuple(out_row)] += 1
-        result = Relation(tuple(c.name for c in fin.output), rows)
-    elif boolean:
-        rows = Counter({(1,): 1}) if rel.cardinality() else Counter()
-        result = Relation(("one",), rows)
+        rel = distinct(project(rel, fin.project_first))
+    # otherwise group the source itself: projecting it first changes nothing
+    if fin.group_by or fin.having is not None \
+            or any(c.kind != "var" for c in fin.output):
+        result = _aggregate(rel, fin.group_by, fin.having, fin.output)
     else:
         result = project(rel, tuple(c.name for c in fin.output))
     if fin.distinct_output:
@@ -598,15 +601,12 @@ def eval_plan(plan: StagePlan, db: Mapping[str, Relation],
         for stmt in statements:
             t0 = time.perf_counter_ns()
             if kind is StageKind.FINALIZE:
-                source = None
                 fin: Finalize = stmt.body
-                if fin.source is not None:
-                    if abort_tail:
-                        source = Relation(tuple(fin.project_first))
-                    else:
-                        source = _lookup(env, fin.source)
-                rel = _finalize_relation(source, fin)
-                result = rel
+                if abort_tail:  # the join is empty
+                    source = Relation(tuple(fin.project_first))
+                else:
+                    source = _lookup(env, fin.source) if fin.source else None
+                rel = result = _finalize_relation(source, fin)
             else:
                 rel = run_body(stmt.body)
                 env[stmt.name] = rel

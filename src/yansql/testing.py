@@ -153,9 +153,10 @@ def random_acyclic_cq(rng: random.Random, min_atoms: int = 2,
                       aggregate: Optional[str] = None) -> ConjunctiveQuery:
     """Random acyclic CQ with 1-3 constant selections.
 
-    With `aggregate` in {"minmax", "distinct", "sum"}, grouping variables are
-    forced inside one atom and a matching aggregate call is added; otherwise
-    the query enumerates a random subset of its variables.
+    With `aggregate` in {"minmax", "distinct", "sum", "count", "avg"},
+    grouping variables are forced inside one atom and a matching aggregate
+    call is added; otherwise the query enumerates a random subset of its
+    variables.
     """
     n_atoms = rng.randint(min_atoms, max_atoms)
     h = random_acyclic_hypergraph(rng, n_atoms)
@@ -195,8 +196,8 @@ def random_acyclic_cq(rng: random.Random, min_atoms: int = 2,
             call = AggregateCall(rng.choice(["MIN", "MAX"]), agg_var, False)
         elif aggregate == "distinct":
             call = AggregateCall(rng.choice(["SUM", "COUNT", "AVG"]), agg_var, True)
-        elif aggregate == "sum":
-            call = AggregateCall("SUM", agg_var, False)
+        elif aggregate in ("sum", "count", "avg"):
+            call = AggregateCall(aggregate.upper(), agg_var, False)
         else:
             raise ValueError(aggregate)
         aggregates = (call,)

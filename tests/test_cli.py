@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -210,21 +211,40 @@ def test_input_errors_exit_2(tmp_path):
     assert code == 2
 
 
+def _yansql_process(argv):
+    """`python -m yansql argv` in a child process, on this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "yansql", *map(str, argv)],
+                          capture_output=True, text=True, encoding="utf-8",
+                          env=env, timeout=120)
+
+
 def test_exec_unicode_digit_field_is_a_string(tmp_path):
     # '\u00b2' passes str.isdigit() but not int(): it must load as text
     sql = tmp_path / "q.sql"
     sql.write_text("SELECT r.a, r.b FROM r", encoding="utf-8")
     (tmp_path / "r.csv").write_text("a,b\n\u00b2,1\n", encoding="utf-8")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "yansql", "exec", str(sql), "--db",
-         str(tmp_path)], capture_output=True, text=True, encoding="utf-8",
-        env=env, timeout=120)
+    proc = _yansql_process(["exec", sql, "--db", tmp_path])
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == "a | b\n\u00b2 | 1\n(1 row(s))\n"
+
+
+@pytest.mark.parametrize("command", ["exec", "compare"])
+@pytest.mark.parametrize("content", [
+    b"a,b\n1,2\n3,\xff\n",
+    b"a,b\n1,2\n3," + b"x" * (csv.field_size_limit() + 1) + b"\n",
+], ids=["not-utf8", "field-over-limit"])
+def test_malformed_csv_is_an_input_error(tmp_path, command, content):
+    sql = tmp_path / "q.sql"
+    sql.write_text("SELECT r.a, r.b FROM r", encoding="utf-8")
+    (tmp_path / "r.csv").write_bytes(content)
+    proc = _yansql_process([command, sql, "--db", tmp_path])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "IoError" in proc.stderr and "r.csv" in proc.stderr
 
 
 def test_root_override(ex1_paths):

@@ -1,10 +1,11 @@
 import copy
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yansql.engine import (AggregateTypeError, ArityMismatch, IoError,
@@ -329,6 +330,115 @@ def test_weighted_aggregates_equal_expanded(rows, counts):
     assert out.rows == _expanded_aggregates(pairs)
 
 
+_HAVING_OPS = {"=": operator.eq, "<": operator.lt, ">": operator.gt,
+               ">=": operator.ge}
+
+
+def _reference_groups(rows, grouping, calls, having):
+    """`SELECT grouping, calls FROM r GROUP BY grouping HAVING having` over
+    `rows` (schema g1, g2, x) with one list entry per duplicate row, each
+    aggregate computed from its group's list of x values."""
+    groups: dict = {}
+    for row in rows:
+        key = tuple(row[("g1", "g2").index(g)] for g in grouping)
+        groups.setdefault(key, []).append(row[2])
+    if not grouping:
+        groups.setdefault((), [])  # a global aggregate always has a row
+
+    def value(call, xs):
+        xs = [x for x in xs if x is not None]
+        if call.distinct:
+            xs = list(dict.fromkeys(xs))
+        if call.func == "COUNT":
+            return len(xs)
+        if call.func in ("MIN", "MAX"):
+            if len({type(x) for x in xs}) > 1:
+                raise AggregateTypeError("mixed")
+            return (min if call.func == "MIN" else max)(xs, default=None)
+        if any(isinstance(x, str) for x in xs):
+            raise AggregateTypeError("not integers")
+        if not xs:
+            return None
+        return sum(xs) if call.func == "SUM" else Fraction(sum(xs), len(xs))
+
+    out = Counter()
+    for key, xs in groups.items():
+        values = [value(call, xs) for call in calls]
+        if having is not None:
+            call, comparator, constant = having
+            hv = value(call, xs)
+            if hv is None or isinstance(hv, str) \
+                    or not _HAVING_OPS[comparator](hv, constant):
+                continue
+        out[key + tuple(render_fraction(v) if isinstance(v, Fraction) else v
+                        for v in values)] += 1
+    return out
+
+
+def _call_sql(call):
+    return f"{call.func}({'DISTINCT ' if call.distinct else ''}r.x)"
+
+
+AGG_CALLS = st.builds(AggregateCall,
+                      st.sampled_from(["COUNT", "SUM", "AVG", "MIN", "MAX"]),
+                      st.just("x"), st.booleans())
+
+
+@st.composite
+def _aggregate_cases(draw):
+    """Rows of r(g1, g2, x) with duplicates, 0-2 grouping columns, 1-3
+    calls and an optional HAVING; x mixes ints and strings in some cases."""
+    mixed = draw(st.booleans())
+    xs = st.one_of(st.none(), st.integers(-3, 3),
+                   *([st.sampled_from(["p", "q"])] if mixed else []))
+    gs = st.one_of(st.none(), st.sampled_from(["a", "b"]), st.integers(0, 1))
+    counted = draw(st.lists(st.tuples(st.tuples(gs, gs, xs),
+                                      st.integers(1, 4)), max_size=10))
+    return ([row for row, n in counted for _ in range(n)],
+            draw(st.sampled_from([(), ("g1",), ("g1", "g2")])),
+            draw(st.lists(AGG_CALLS, min_size=1, max_size=3, unique=True)),
+            draw(st.none() | st.tuples(AGG_CALLS,
+                                       st.sampled_from(sorted(_HAVING_OPS)),
+                                       st.integers(-2, 4))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_aggregate_cases())
+@example(([("a", 0, 1), ("a", 0, "p")], ("g1",),
+          [AggregateCall("MIN", "x", False)], None))
+@example(([], (), [AggregateCall("SUM", "x", False)],
+          (AggregateCall("COUNT", "x", True), "=", 0)))
+def test_folds_equal_per_duplicate_reference(case):
+    rows, grouping, calls, having = case
+    rel = Relation.from_rows(("g1", "g2", "x"), rows)
+
+    def outcome(run):
+        try:
+            return run()
+        except AggregateTypeError:
+            return AggregateTypeError
+
+    expected = outcome(lambda: _reference_groups(rows, grouping, calls,
+                                                 having))
+    if having is None:
+        assert outcome(lambda: aggregate(rel, grouping, calls).rows) \
+            == expected
+    # the same through SQL: FINALIZE of the oracle and of compiled plans,
+    # where the HAVING call need not be in the output
+    sql = "SELECT " + ", ".join([*(f"r.{g}" for g in grouping),
+                                 *map(_call_sql, calls)]) + " FROM r"
+    if grouping:
+        sql += " GROUP BY " + ", ".join(f"r.{g}" for g in grouping)
+    if having is not None:
+        sql += f" HAVING {_call_sql(having[0])} {having[1]} {having[2]}"
+    cq = extract_cq(parse_query(sql))
+    db = {"r": rel}
+    assert outcome(lambda: eval_naive(cq, db).rows) == expected
+    for mode in ("auto", "fullenum"):
+        plan = compile_cq(cq, mode=mode).plan
+        assert outcome(lambda: eval_plan(plan, db).relation.rows) == expected
+
+
 # ---------------------------------------------------------------------------
 # row order
 # ---------------------------------------------------------------------------
@@ -337,11 +447,25 @@ CELLS = st.one_of(st.none(), st.integers(-3, 3), st.text("ab", max_size=2))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(CELLS, CELLS), max_size=30))
-def test_fast_row_order_equals_key_order(rows):
+@given(st.lists(st.tuples(CELLS, CELLS), max_size=30),
+       st.lists(CELLS, max_size=2))
+def test_fast_row_order_equals_key_order(rows, prefix):
+    # leading columns that hold one value in every row, None among them
+    rows = [(*prefix, *row) for row in rows]
     expected = sorted(rows, key=_row_sort_key)
     assert _sorted_rows(rows) == expected
-    assert Relation.from_rows(("a", "b"), rows).expanded() == expected
+    schema = [f"c{i}" for i in range(len(prefix) + 2)]
+    assert Relation.from_rows(schema, rows).expanded() == expected
+
+
+def test_row_order_skips_constant_leading_columns():
+    rows = [(None, "k", 3, "b"), (None, "k", 1, "z"), (None, "k", 1, None),
+            (None, "k", None, "a")]
+    assert _sorted_rows(rows) == [(None, "k", None, "a"), (None, "k", 1, None),
+                                  (None, "k", 1, "z"), (None, "k", 3, "b")]
+    # one varying column left, compared as a bare value
+    pairs = [("k", 2), ("k", None), ("k", 1), ("k", "a")]
+    assert _sorted_rows(pairs) == sorted(pairs, key=_row_sort_key)
 
 
 def test_row_order_mixed_column():

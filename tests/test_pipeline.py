@@ -12,8 +12,8 @@ from yansql.pipeline import (CyclicQuery, PipelineError, compare_on_db,
                              compile_cq, compile_sql)
 from yansql.plan_builder import Mode, StageKind
 from yansql.sql_frontend import AggregateCall, extract_cq, parse_query
-from yansql.testing import (cq_from_hypergraph, random_cyclic_hypergraph,
-                            random_database)
+from yansql.testing import (cq_from_hypergraph, random_acyclic_cq,
+                            random_cyclic_hypergraph, random_database)
 from conftest import EX1_SQL, UNIVERSITY_SQL, run_on_sqlite
 
 
@@ -297,6 +297,36 @@ def test_ghd_with_an_atom_added_to_a_cover_stays_bag_equal(seed):
     naive = eval_naive(cq, db)
     assert bag_equal(eval_plan(plan, db).relation, naive)
     assert run_on_sqlite(plan, db) == naive.rows
+
+
+def _comparable_rows(rows, schema, avg_columns):
+    """Rows sorted nulls first, with AVG columns as floats: sqlite returns
+    a float where the engine renders six decimals."""
+    avg = {schema.index(name) for name in avg_columns}
+    rows = [tuple(float(v) if i in avg and v is not None else v
+                  for i, v in enumerate(row)) for row in rows]
+    return sorted(rows, key=lambda row: [(v is not None, v or 0) for v in row])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9),
+       st.sampled_from(["sum", "count", "avg", "minmax", "distinct"]))
+def test_aggregate_plans_agree_with_sqlite(seed, kind):
+    rng = random.Random(seed)
+    # one selection and a small domain, so that most results have rows
+    cq = random_acyclic_cq(rng, max_atoms=5, max_selections=1, aggregate=kind)
+    db = random_database(rng, cq, max_rows=20, domain=4)
+    avg_columns = [c.column_name() for c in cq.aggregates if c.func == "AVG"]
+    for mode in ("auto", "fullenum"):
+        plan = compile_cq(cq, mode=mode).plan
+        ours = eval_plan(plan, db).relation
+        got = _comparable_rows(ours.expanded(), ours.schema, avg_columns)
+        expected = _comparable_rows(run_on_sqlite(plan, db).elements(),
+                                    ours.schema, avg_columns)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert all(x == y or isinstance(x, float) and abs(x - y) <= 1e-6
+                       for x, y in zip(a, b)), (a, b)
 
 
 def test_compiled_carries_report_and_hypergraph(ex1_cq):

@@ -1,4 +1,5 @@
-"""Smoke runs of the demo scripts: each exits 0 without a traceback."""
+"""Smoke runs of the demo scripts and of the benchmark's self-check: each
+exits 0 without a traceback."""
 
 import os
 import subprocess
@@ -10,15 +11,26 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("argv", [
-    ["scripts/ghd_spread.py", "--edges", "5", "--limit", "4"],
-    ["scripts/blowup_demo.py", "--fan", "50"],
-])
-def test_script_runs(argv):
+def _run(argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, *argv], cwd=ROOT,
                           capture_output=True, text=True, encoding="utf-8",
                           env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("argv", [
+    ["scripts/ghd_spread.py", "--edges", "5", "--limit", "4"],
+    ["scripts/blowup_demo.py", "--fan", "50"],
+])
+def test_script_runs(argv):
+    _run(argv)
+
+
+def test_perfbench_selfcheck():
+    # the benchmark parses `yansql exec --stats` output: an engine change
+    # that breaks that parsing fails here
+    assert "selfcheck passed" in _run(["perfbench/selfcheck.py"]).stdout
