@@ -13,17 +13,22 @@ from pathlib import Path
 from . import pipeline
 from .decomposition import (CyclicReport, enumerate_ghds, flat_gyo,
                             ghd_from_json, ghd_to_json, validate_ghd)
-from .engine import Relation, eval_plan, load_csv
+from .engine import IoError, Relation, eval_plan, load_csv
 from .errors import YansqlError
 from .hypergraph import build_hypergraph, components
 from .pipeline import CyclicQuery, compile_sql
 from .sql_emitter import get_dialect, emit_plan
 
 
-def _read_sql(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+def _read_text(path: str) -> str:
+    """UTF-8 text of a file, or of stdin for "-"; IoError if it is not."""
+    try:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        name = "<stdin>" if path == "-" else path
+        raise IoError(f"{name}: not UTF-8 text: {exc.reason}") from exc
 
 
 def _load_db(cfg: argparse.Namespace, cq) -> dict:
@@ -58,10 +63,10 @@ def _print_stats(stats, out):
 
 
 def _compile(cfg: argparse.Namespace):
-    sql = _read_sql(cfg.sql_path)
+    sql = _read_text(cfg.sql_path)
     ghd = None
     if cfg.ghd_path:
-        ghd = ghd_from_json(Path(cfg.ghd_path).read_text(encoding="utf-8"))
+        ghd = ghd_from_json(_read_text(cfg.ghd_path))
     return compile_sql(
         sql,
         mode=cfg.mode,
@@ -75,7 +80,7 @@ def _compile(cfg: argparse.Namespace):
 
 
 def cmd_analyze(cfg: argparse.Namespace, out) -> int:
-    sql = _read_sql(cfg.sql_path)
+    sql = _read_text(cfg.sql_path)
     from .classification import classify_0ma, normalize_aggregation
     from .sql_frontend import extract_cq, parse_query
 
@@ -125,13 +130,13 @@ def cmd_exec(cfg: argparse.Namespace, out) -> int:
 
 
 def cmd_ghd(cfg: argparse.Namespace, out) -> int:
-    sql = _read_sql(cfg.sql_path)
+    sql = _read_text(cfg.sql_path)
     from .sql_frontend import extract_cq, parse_query
 
     cq = extract_cq(parse_query(sql))
     h = build_hypergraph(cq)
     if cfg.ghd_path:
-        ghd = ghd_from_json(Path(cfg.ghd_path).read_text(encoding="utf-8"))
+        ghd = ghd_from_json(_read_text(cfg.ghd_path))
         ok = validate_ghd(h, ghd)
         out.write(f"valid: {'yes' if ok else 'no'} (width {ghd.width})\n")
         return 0 if ok else 1

@@ -3,9 +3,15 @@
 Setup views become CREATE VIEW (CREATE OR REPLACE TEMP VIEW on spark, which
 has no tables, so the engine can fuse everything into one plan), semi-join
 and join temporaries become CREATE TEMP TABLE (again views on spark), and
-FINALIZE renders as the final bare SELECT.  Semi-joins render either as row
-IN subqueries or as correlated EXISTS; EXISTS is the default since IN over
-keys containing NULL has three-valued-logic surprises.
+FINALIZE renders as the final bare SELECT.  Semi-joins render either as IN
+subqueries or as correlated EXISTS.  The generic dialect defaults to IN:
+`k IN (SELECT k FROM h)` for a single key, which sqlite runs as one probe
+of a transient index where a correlated EXISTS rescans `h` per row.  Filters
+with several keys (generic SQL has no row constructors) or none stay EXISTS.
+postgres, duckdb and spark default to EXISTS.  A positive IN conjunct is
+safe with NULL keys: it is UNKNOWN, not TRUE, for a NULL key or a NULL in
+the subquery, so WHERE drops exactly the rows EXISTS drops; only NOT IN
+has the three-valued-logic trap, and no semi-join is negated.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ class Dialect:
 POSTGRES = Dialect("postgres", "Exists", True)
 DUCKDB = Dialect("duckdb", "Exists", True)
 SPARK = Dialect("spark", "Exists", True)
-GENERIC = Dialect("generic", "Exists", False)
+GENERIC = Dialect("generic", "RowIn", False)
 
 DIALECTS = {d.name: d for d in (POSTGRES, DUCKDB, SPARK, GENERIC)}
 

@@ -9,16 +9,21 @@ which makes dangling tuples and bag-semantics effects common.
 `gyo_fixpoint_acyclic` is the independent straightforward acyclicity check:
 remove degree-1 vertices and subset edges one at a time in a (seeded)
 arbitrary order until nothing applies.
+
+`run_on_sqlite` runs a plan's emitted SQL on in-memory sqlite3, the real
+engine that differential tests and `scripts/blowup_demo.py` compare with.
 """
 
 from __future__ import annotations
 
 import random
+import sqlite3
 from collections import Counter
 from typing import Optional
 
 from .engine import Relation
 from .hypergraph import Hypergraph
+from .sql_emitter import GENERIC, emit_plan
 from .sql_frontend import (AggregateCall, Atom, ConjunctiveQuery,
                            ConstantSelection)
 
@@ -266,3 +271,31 @@ def write_db_csv(db: dict, directory):
 
     for name, rel in db.items():
         write_csv(rel, directory / f"{name}.csv")
+
+
+def sqlite_database(db: dict) -> sqlite3.Connection:
+    """In-memory sqlite3 database with one untyped table per relation."""
+    con = sqlite3.connect(":memory:")
+    for name, rel in db.items():
+        con.execute(f"CREATE TABLE {name} ({', '.join(rel.schema)})")
+        con.executemany(
+            f"INSERT INTO {name} VALUES "
+            f"({', '.join('?' for _ in rel.schema)})", rel.expanded())
+    return con
+
+
+def sqlite_rows(con: sqlite3.Connection, statements) -> list:
+    """Run the statements in order; the rows of the last one."""
+    for stmt in statements[:-1]:
+        con.execute(stmt)
+    return con.execute(statements[-1]).fetchall()
+
+
+def run_on_sqlite(plan, db: dict, dialect=GENERIC) -> Counter:
+    """Result rows of the plan's SQL (generic dialect by default) on
+    in-memory sqlite3."""
+    con = sqlite_database(db)
+    try:
+        return Counter(sqlite_rows(con, emit_plan(plan, dialect)))
+    finally:
+        con.close()

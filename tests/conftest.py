@@ -1,11 +1,8 @@
-import sqlite3
-from collections import Counter
-
 import pytest
 
 from yansql.engine import Relation
-from yansql.sql_emitter import GENERIC, emit_plan
 from yansql.sql_frontend import extract_cq, parse_query
+from yansql.testing import run_on_sqlite  # noqa: F401  (tests import it here)
 
 EX1_SQL = """
 SELECT exams.student, MIN(exams.grade)
@@ -31,23 +28,6 @@ TRIANGLE_SQL = """
 SELECT r.a, s.b, t.c FROM r, s, t
 WHERE r.a = t.a AND r.b = s.b AND s.c = t.c
 """
-
-
-def run_on_sqlite(plan, db) -> Counter:
-    """Result rows of the plan's generic-dialect SQL on in-memory sqlite3."""
-    con = sqlite3.connect(":memory:")
-    try:
-        for name, rel in db.items():
-            con.execute(f"CREATE TABLE {name} ({', '.join(rel.schema)})")
-            con.executemany(
-                f"INSERT INTO {name} VALUES "
-                f"({', '.join('?' for _ in rel.schema)})", rel.expanded())
-        statements = emit_plan(plan, GENERIC)
-        for stmt in statements[:-1]:
-            con.execute(stmt)
-        return Counter(con.execute(statements[-1]).fetchall())
-    finally:
-        con.close()
 
 
 @pytest.fixture

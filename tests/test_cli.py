@@ -211,14 +211,14 @@ def test_input_errors_exit_2(tmp_path):
     assert code == 2
 
 
-def _yansql_process(argv):
+def _yansql_process(argv, stdin=None):
     """`python -m yansql argv` in a child process, on this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "yansql", *map(str, argv)],
-                          capture_output=True, text=True, encoding="utf-8",
-                          env=env, timeout=120)
+                          stdin=stdin, capture_output=True, text=True,
+                          encoding="utf-8", env=env, timeout=120)
 
 
 def test_exec_unicode_digit_field_is_a_string(tmp_path):
@@ -245,6 +245,26 @@ def test_malformed_csv_is_an_input_error(tmp_path, command, content):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "IoError" in proc.stderr and "r.csv" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["rewrite", "exec", "compare", "ghd"])
+@pytest.mark.parametrize("source", ["sql-file", "stdin", "ghd-file"])
+def test_undecodable_text_input_is_an_input_error(tmp_path, command, source):
+    sql = tmp_path / "q.sql"
+    sql.write_text("SELECT r.a, r.b FROM r", encoding="utf-8")
+    (tmp_path / "r.csv").write_text("a,b\n1,2\n", encoding="utf-8")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"SELECT r.a FROM r WHERE r.b = '\xff'")
+    argv = {"sql-file": [command, bad], "stdin": [command, "-"],
+            "ghd-file": [command, sql, "--ghd-file", bad]}[source]
+    if command in ("exec", "compare"):
+        argv += ["--db", tmp_path]
+    with open(bad, "rb") as fh:
+        proc = _yansql_process(argv, stdin=fh)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    name = "<stdin>" if source == "stdin" else str(bad)
+    assert f"IoError: {name}: not UTF-8 text" in proc.stderr
 
 
 def test_root_override(ex1_paths):

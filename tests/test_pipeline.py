@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -11,6 +12,7 @@ from yansql.engine import Relation, bag_equal, eval_naive, eval_plan
 from yansql.pipeline import (CyclicQuery, PipelineError, compare_on_db,
                              compile_cq, compile_sql)
 from yansql.plan_builder import Mode, StageKind
+from yansql.sql_emitter import GENERIC, emit_plan
 from yansql.sql_frontend import AggregateCall, extract_cq, parse_query
 from yansql.testing import (cq_from_hypergraph, random_acyclic_cq,
                             random_cyclic_hypergraph, random_database)
@@ -327,6 +329,100 @@ def test_aggregate_plans_agree_with_sqlite(seed, kind):
         for a, b in zip(got, expected):
             assert all(x == y or isinstance(x, float) and abs(x - y) <= 1e-6
                        for x, y in zip(a, b)), (a, b)
+
+
+def _assert_semijoin_forms_agree(plan, cq, db):
+    """The generic dialect's default script (single-key semi-joins as IN),
+    the same plan with every semi-join forced to EXISTS, and the engine all
+    give the oracle's bag."""
+    naive = eval_naive(cq, db)
+    assert run_on_sqlite(plan, db) == naive.rows
+    assert run_on_sqlite(plan, db, GENERIC.with_style("Exists")) == naive.rows
+    assert bag_equal(eval_plan(plan, db).relation, naive)
+
+
+def _null_and_mixed_keys(rng, cq, db) -> dict:
+    """`db` with join-key cells sometimes NULL and, where no selection or
+    aggregate reads the variable, sometimes the string of their integer,
+    which must not match the integer."""
+    uses = Counter(v for atom in cq.atoms for v in atom.variables)
+    keys = {v for v, n in uses.items() if n > 1}
+    fixed = {dict(cq.atom(s.atom_id).attr_vars)[s.attr]
+             for s in cq.selections} | {c.var for c in cq.aggregates}
+
+    def cell(var, value):
+        draw = rng.random()
+        if var not in keys or value is None or draw >= 0.5:
+            return value
+        if draw < 0.15:
+            return None
+        return value if var in fixed else str(value)
+
+    out = {}
+    for atom in cq.atoms:
+        rel = db[atom.relation]
+        vars_ = [var for _, var in atom.attr_vars]
+        out[atom.relation] = Relation.from_rows(rel.schema, [
+            tuple(map(cell, vars_, row)) for row in rel.expanded()])
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(["bag", "distinct", "minmax"]))
+def test_in_and_exists_semijoins_agree_on_sqlite(seed, kind):
+    # a positive IN drops a NULL key like EXISTS does, and compares an
+    # integer with a string the way `=` does
+    rng = random.Random(seed)
+    cq = random_acyclic_cq(rng, max_atoms=5,
+                           aggregate="minmax" if kind == "minmax" else None)
+    if kind == "distinct":
+        cq = replace(cq, distinct=True)
+    db = _null_and_mixed_keys(
+        rng, cq, random_database(rng, cq, max_rows=20, domain=4))
+    for mode in ("auto", "fullenum"):
+        _assert_semijoin_forms_agree(compile_cq(cq, mode=mode).plan, cq, db)
+
+
+def test_in_and_exists_semijoins_agree_on_multikey_and_keyless_filters(
+        university_cq, university_db):
+    from yansql.classification import normalize_aggregation
+    from yansql.decomposition import JoinTree, base_atom
+    from yansql.hypergraph import build_hypergraph
+    from yansql.plan_builder import build_plan
+
+    # multi-key (cid, student) filter: EXISTS beside single-key IN
+    db = dict(university_db)
+    db["exams"] = Relation.from_rows(
+        ("cid", "student", "grade"),
+        university_db["exams"].expanded()
+        + [(None, "ann", 0), ("db", None, 0), (1, "ann", 0)])
+    db["courses"] = Relation.from_rows(
+        ("cid", "faculty"),
+        university_db["courses"].expanded()
+        + [("1", "ComputerScience"), (None, "ComputerScience")])
+    db["tutors"] = Relation.from_rows(
+        ("student", "cid", "num_semesters"),
+        university_db["tutors"].expanded() + [(None, "db", 5), ("ann", "1", 5)])
+    for mode in ("auto", "fullenum"):
+        plan = compile_cq(university_cq, mode=mode).plan
+        script = "\n".join(emit_plan(plan, GENERIC))
+        assert "cid IN (SELECT cid FROM" in script
+        assert "EXISTS (SELECT 1 FROM tutors_setup WHERE" in script
+        _assert_semijoin_forms_agree(plan, university_cq, db)
+
+    # keyless filter: r and s share no variable, joined in one tree
+    cq = extract_cq(parse_query("SELECT DISTINCT r.a FROM r, s"))
+    h = build_hypergraph(cq)
+    tree = JoinTree("r", {"s": "r"}, {n: base_atom(n) for n in "rs"},
+                    {n: h.edges[n] for n in "rs"})
+    for mode in (Mode.FULL_ENUM, Mode.PARTIAL):
+        plan = build_plan(tree, normalize_aggregation(cq), mode)
+        assert "EXISTS (SELECT 1 FROM s_setup)" in "\n".join(
+            emit_plan(plan, GENERIC))
+        r = Relation.from_rows(("a",), [(1,), (None,), ("1",), (1,)])
+        for s_rows in ([], [(None,)], [(2,), (2,)]):
+            db = {"r": r, "s": Relation.from_rows(("b",), s_rows)}
+            _assert_semijoin_forms_agree(plan, cq, db)
 
 
 def test_compiled_carries_report_and_hypergraph(ex1_cq):

@@ -2,6 +2,7 @@
 exits 0 without a traceback."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +28,11 @@ def _run(argv):
     ["scripts/blowup_demo.py", "--fan", "50"],
 ])
 def test_script_runs(argv):
-    _run(argv)
+    out = _run(argv).stdout
+    if argv[0] == "scripts/blowup_demo.py":
+        # the 50 live rows, from the staged SQL and the original on sqlite3
+        assert "staged SQL (generic): 50 rows in " in out
+        assert re.search(r"original query: +(50 rows in |gave up after )", out)
 
 
 def test_perfbench_selfcheck():

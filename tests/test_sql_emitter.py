@@ -135,11 +135,17 @@ def test_forced_rowin_fails_on_generic_multicolumn():
     plan = university_plan()
     with pytest.raises(UnsupportedInDialect):
         emit_plan(plan, GENERIC.with_style("RowIn", forced=True))
-    # unforced falls back to EXISTS for the multi-column case only
+    # unforced falls back to EXISTS for the multi-column case only; that
+    # is the generic default, while the other dialects default to EXISTS
     relaxed = emit_plan(plan, GENERIC.with_style("RowIn", forced=False))
+    assert emit_plan(plan, GENERIC) == relaxed
     joined = "\n".join(relaxed)
     assert "cid IN (SELECT cid FROM courses_setup)" in joined
     assert "EXISTS (SELECT 1 FROM tutors_setup" in joined
+    for dialect in (POSTGRES, DUCKDB, SPARK):
+        default = "\n".join(emit_plan(plan, dialect))
+        assert " IN (" not in default
+        assert "EXISTS (SELECT 1 FROM courses_setup" in default
 
 
 def test_statically_empty_renders_where_false():
