@@ -1,10 +1,11 @@
-"""Evaluate one cyclic query under every width-2 decomposition found.
+"""Evaluate one cyclic query under the first width-2 decompositions found.
 
 Different decompositions of the same query can behave very differently:
 the local joins behind the decomposition's node views (each a set,
 DISTINCT pi_bag of its cover's join) range from cheap semi-join-like views
-to cross products.  This script enumerates
-decompositions of a cyclic query, evaluates the resulting plans on a
+to cross products.  This script takes the first `--limit` decompositions,
+distinct by their covers, that the det-k-decomp search meets (the seed
+shuffles its tie-breaking label order), evaluates the resulting plans on a
 random database, and prints per-decomposition statistics.
 
     python scripts/ghd_spread.py --edges 6 --seed 3 --limit 8

@@ -139,16 +139,20 @@ def cmd_ghd(cfg: argparse.Namespace, out) -> int:
         ghd = ghd_from_json(_read_text(cfg.ghd_path))
         ok = validate_ghd(h, ghd)
         out.write(f"valid: {'yes' if ok else 'no'} (width {ghd.width})\n")
-        return 0 if ok else 1
+        return 0 if ok else 2
     if cfg.width is None:
         sys.stderr.write("error: ghd needs --width or --ghd-file\n")
         return 2
     width = cfg.width
     limit = cfg.enumerate if cfg.enumerate is not None else 1
+    if limit < 1:
+        sys.stderr.write(f"error: --enumerate must be at least 1, "
+                         f"got {limit}\n")
+        return 2
     found = enumerate_ghds(h, width, limit=limit, seed=cfg.seed)
     if not found:
         out.write(f"no decomposition of width {width}\n")
-        return 1
+        return 2
     for i, ghd in enumerate(found):
         if i:
             out.write("\n")

@@ -4,9 +4,10 @@ Flat-GYO layers the classical GYO reduction so that each while-iteration
 absorbs every edge that is a subset of some maximal edge.  The resulting
 join tree has minimum depth over all join trees of the hypergraph;
 `min_depth_oracle` verifies this independently by enumerating all labeled
-trees.  Cyclic hypergraphs are handled by an exhaustive search for
-generalized hypertree decompositions of bounded width, which convert back
-to join trees over set-valued view nodes with one leaf per atom.
+trees.  Cyclic hypergraphs go through det-k-decomp, a memoised search for
+hypertree decompositions of bounded width (bag = vars(cover) & (component
+| connector), plus a node for each atom that no cover holds), which
+convert back to join trees over set-valued view nodes, one leaf per atom.
 """
 
 from __future__ import annotations
@@ -77,43 +78,22 @@ class JoinTree:
     def children(self, node: str) -> tuple:
         return tuple(sorted(c for c, p in self.parent.items() if p == node))
 
+    def _walk(self, u: str, depth: int = 0, reverse: bool = False):
+        """(node, depth) in preorder, siblings in label order or reversed."""
+        yield u, depth
+        kids = self.children(u)
+        for c in kids[::-1] if reverse else kids:
+            yield from self._walk(c, depth + 1, reverse)
+
     def postorder(self) -> list:
-        out = []
-
-        def walk(u):
-            for c in self.children(u):
-                walk(c)
-            out.append(u)
-
-        walk(self.root)
-        return out
+        # children before their parent, siblings in label order
+        return [u for u, _ in self._walk(self.root, reverse=True)][::-1]
 
     def preorder(self) -> list:
-        out = []
-
-        def walk(u):
-            out.append(u)
-            for c in self.children(u):
-                walk(c)
-
-        walk(self.root)
-        return out
+        return [u for u, _ in self._walk(self.root)]
 
     def depth(self) -> int:
-        def walk(u):
-            kids = self.children(u)
-            return 0 if not kids else 1 + max(walk(c) for c in kids)
-
-        return walk(self.root)
-
-    def subtree_nodes(self, node: str) -> frozenset:
-        out = set()
-        stack = [node]
-        while stack:
-            u = stack.pop()
-            out.add(u)
-            stack.extend(self.children(u))
-        return frozenset(out)
+        return max(d for _, d in self._walk(self.root))
 
     def path(self, a: str, b: str) -> list:
         """Nodes on the path from a to b, inclusive."""
@@ -144,15 +124,7 @@ class JoinTree:
         return JoinTree(new_root, parent, dict(self.labels), dict(self.attrs))
 
     def pretty(self) -> str:
-        lines = []
-
-        def walk(u, depth):
-            lines.append("  " * depth + u)
-            for c in self.children(u):
-                walk(c, depth + 1)
-
-        walk(self.root, 0)
-        return "\n".join(lines)
+        return "\n".join("  " * d + u for u, d in self._walk(self.root))
 
 
 @dataclass
@@ -274,9 +246,6 @@ def _prufer_trees(n: int):
     if n == 1:
         yield []
         return
-    if n == 2:
-        yield [(0, 1)]
-        return
     for seq in itertools.product(range(n), repeat=n - 2):
         degree = [1] * n
         for x in seq:
@@ -365,7 +334,6 @@ def min_depth_oracle(h: Hypergraph) -> int:
 # Generalized hypertree decompositions
 # ---------------------------------------------------------------------------
 
-_GHD_MAX_EDGES = 12
 _GHD_WIDTHS = (1, 2, 3)
 
 
@@ -383,9 +351,6 @@ class GHDecomposition:
     @property
     def nodes(self) -> tuple:
         return tuple(sorted(self.bags))
-
-    def children(self, node: str) -> tuple:
-        return tuple(sorted(c for c, p in self.parent.items() if p == node))
 
     def canonical(self) -> frozenset:
         return frozenset(self.covers.values())
@@ -411,75 +376,115 @@ def validate_ghd(h: Hypergraph, g: GHDecomposition) -> bool:
     return connectedness_holds(tree)
 
 
-def _ghd_candidates(h: Hypergraph, width: int) -> list:
-    labels = sorted(h.edges)
-    out = []
-    for size in range(1, width + 1):
-        for combo in itertools.combinations(labels, size):
-            bag = frozenset().union(*(h.edges[label] for label in combo))
-            out.append((frozenset(combo), bag))
-    return out
+def _det_k_decomp(h: Hypergraph, width: int, seed: Optional[int]):
+    """det-k-decomp (Gottlob & Samer, JEA 2008).  A subproblem is a
+    component `comp` (a set of variables) and its connector `conn`, the
+    variables comp's atoms share with the parent bag; each [bag]-component
+    of comp must be strictly smaller than comp."""
+    if width not in _GHD_WIDTHS:
+        raise TooLarge(f"GHD search limited to widths {_GHD_WIDTHS}")
+    if not h.edges or not is_connected(h):
+        raise DisconnectedInput("GHD search requires a connected hypergraph")
+    edges, labels, first = h.edges, sorted(h.edges), {}
+    if seed is not None:
+        random.Random(seed).shuffle(labels)
+
+    def near(vs) -> list:
+        return [label for label in labels if edges[label] & vs]
+
+    def components(rest: frozenset):
+        left = set(rest)
+        while left:
+            comp, size = {min(left)}, 0
+            while size < len(comp):
+                size = len(comp)
+                touched = frozenset().union(*map(edges.get, near(comp)))
+                comp |= touched & left
+            left -= comp
+            yield frozenset(comp), touched - comp
+
+    def options(comp: frozenset, conn: frozenset):
+        """(cover, bag, children) per separator whose children decompose."""
+        scope, own = comp | conn, set(near(comp))
+        # an atom outside scope adds nothing to the bag; the lone atom of a
+        # hypergraph without variables is still a separator
+        pool = near(scope) or labels
+        for size in range(1, width + 1):
+            for sep in sorted(itertools.combinations(pool, size),
+                              key=lambda sep: not own.issuperset(sep)):
+                covered = frozenset().union(*map(edges.get, sep))
+                bag = covered & scope
+                if not conn <= covered:
+                    continue
+                kids = list(components(comp - bag))
+                if all(len(kid) < len(comp) and solve(kid, kid_conn)
+                       for kid, kid_conn in kids):
+                    yield frozenset(sep), bag, kids
+
+    def solve(comp: frozenset, conn: frozenset):
+        if (comp, conn) not in first:
+            first[comp, conn] = next(
+                ((sep, bag, tuple(solve(*kid) for kid in kids))
+                 for sep, bag, kids in options(comp, conn)), None)
+        return first[comp, conn]
+
+    def subtrees(kids: list):
+        """Every tuple of one subtree per subproblem in `kids`."""
+        if not kids:
+            return iter([()])
+        return (((sep, bag, children),) + tail
+                for sep, bag, grandkids in options(*kids[0])
+                for children in subtrees(grandkids)
+                for tail in subtrees(kids[1:]))
+
+    def to_ghd(tree) -> GHDecomposition:
+        g = GHDecomposition("n0", {}, {}, {})
+
+        def add(cover, bag, children, host=None):
+            node = f"n{len(g.bags)}"
+            g.bags[node], g.covers[node] = bag, cover
+            g.parent.update({node: host} if host else {})
+            for child in children:
+                add(*child, node)
+
+        add(*tree)
+        for label in sorted(set(edges).difference(*g.covers.values())):
+            add(frozenset({label}), edges[label], (), next(
+                n for n, bag in g.bags.items() if edges[label] <= bag))
+        return g
+
+    root = (h.vertices, frozenset())
+    try:
+        if solve(*root) is not None:  # the first, by the memoised search
+            yield to_ghd(first[root])
+            for (tree,) in itertools.islice(subtrees([root]), 1, None):
+                yield to_ghd(tree)
+    except RecursionError:
+        raise TooLarge("decomposition deeper than the recursion limit") from None
 
 
 def enumerate_ghds(h: Hypergraph, width: int, limit: Optional[int] = None,
                    seed: Optional[int] = None) -> list:
-    """Backtracking search over covers that partition the atom set.
+    """The first `limit` decompositions (all when None) of at most the
+    requested width that det-k-decomp meets, distinct by `canonical()`.
 
-    Candidate covers are tried by (cover size, lexicographic labels); a seed
-    shuffles the candidate order to sample structurally different
-    decompositions.
+    A separator is at most `width` atoms; they go by size, then those of
+    the component's own atoms, then by label order, which a seed shuffles.
+    A node's bag is vars(cover) & (component | connector).  An atom that no
+    cover holds gets its own node, cover {atom} and bag vars(atom), under
+    the first node (n0, n1, .. in preorder) whose bag holds its variables.
     """
-    if len(h.edges) > _GHD_MAX_EDGES:
-        raise TooLarge(f"GHD search limited to {_GHD_MAX_EDGES} edges")
-    if width not in _GHD_WIDTHS:
-        raise TooLarge(f"GHD search limited to widths {_GHD_WIDTHS}")
-    if not is_connected(h):
-        raise DisconnectedInput("GHD search requires a connected hypergraph")
-    labels = sorted(h.edges)
-    candidates = _ghd_candidates(h, width)
-    candidates.sort(key=lambda cb: (len(cb[0]), tuple(sorted(cb[0]))))
-    if seed is not None:
-        random.Random(seed).shuffle(candidates)
-    results: list = []
-    seen: set = set()
-
-    def build(chosen: list) -> Optional[GHDecomposition]:
-        bag_edges = {f"n{i}": bag for i, (_, bag) in enumerate(chosen)}
-        tree = flat_gyo(Hypergraph(bag_edges))
-        if isinstance(tree, CyclicReport):
-            return None
-        covers = {f"n{i}": cover for i, (cover, _) in enumerate(chosen)}
-        return GHDecomposition(tree.root, dict(tree.parent), bag_edges, covers)
-
-    def search(chosen: list, used: frozenset) -> bool:
-        if limit is not None and len(results) >= limit:
-            return True
-        uncovered = [l for l in labels if l not in used]
-        if not uncovered:
-            ghd = build(chosen)
-            if ghd is not None and ghd.canonical() not in seen:
-                seen.add(ghd.canonical())
-                results.append(ghd)
-                if limit is not None and len(results) >= limit:
-                    return True
-            return False
-        first = uncovered[0]
-        for cover, bag in candidates:
-            if first not in cover or cover & used:
-                continue
-            if search(chosen + [(cover, bag)], used | cover):
-                return True
-        return False
-
-    search([], frozenset())
-    return results
+    results: dict = {}
+    search = _det_k_decomp(h, width, seed)
+    while (limit is None or len(results) < limit) and (ghd := next(search, None)):
+        results.setdefault(ghd.canonical(), ghd)
+    return list(results.values())
 
 
 def find_ghd(h: Hypergraph, width: int,
              seed: Optional[int] = None) -> Optional[GHDecomposition]:
-    """First decomposition of at most the requested width, or None."""
-    found = enumerate_ghds(h, width, limit=1, seed=seed)
-    return found[0] if found else None
+    """First decomposition det-k-decomp finds (see `enumerate_ghds`), or None."""
+    return next(_det_k_decomp(h, width, seed), None)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +505,8 @@ def ghd_to_join_tree(g: GHDecomposition, cq: ConjunctiveQuery,
     atom-labelled leaf under the first node (in node order) whose bag
     contains its variables.  The views only filter; result multiplicities
     come from the atom leaves alone, so covers may overlap or reuse atoms.
+    A view drops the variables that only one atom has: the leaf of that
+    atom keeps them, and a join on them would lose the leaf's NULLs.
 
     View ids are v<start>, v<start+1>, .. in preorder; the atom leaves
     continue the numbering in atom-id order.
@@ -508,30 +515,22 @@ def ghd_to_join_tree(g: GHDecomposition, cq: ConjunctiveQuery,
     if not validate_ghd(h, g):
         raise InvalidGHD("decomposition does not validate against the query")
 
-    view_ids: dict = {}
-    counter = itertools.count(start)
+    preorder = JoinTree(g.root, g.parent, {}, g.bags).preorder()
+    view_ids = {u: f"v{i}" for i, u in enumerate(preorder, start)}
+    counter = itertools.count(start + len(view_ids))
 
-    def assign(u):
-        view_ids[u] = f"v{next(counter)}"
-        for c in g.children(u):
-            assign(c)
-
-    assign(g.root)
-
-    parent = {}
-    labels = {}
-    attrs = {}
-    views = []
+    atoms_of = Counter(v for a in cq.atoms for v in a.variables)
+    parent, labels, attrs, views = {}, {}, {}, []
     for node in g.nodes:
         vid = view_ids[node]
         labels[vid] = view_label(vid)
-        attrs[vid] = g.bags[node]
+        attrs[vid] = frozenset(v for v in g.bags[node] if atoms_of[v] > 1)
         if node != g.root:
             parent[vid] = view_ids[g.parent[node]]
         views.append(ViewDefinition(
             vid,
             tuple(sorted(g.covers[node])),
-            tuple(sorted(g.bags[node])),
+            tuple(sorted(attrs[vid])),
         ))
     for atom in sorted(cq.atoms, key=lambda a: a.atom_id):
         host = next(n for n in g.nodes if atom.variables <= g.bags[n])
@@ -540,7 +539,7 @@ def ghd_to_join_tree(g: GHDecomposition, cq: ConjunctiveQuery,
         attrs[leaf] = atom.variables
         parent[leaf] = view_ids[host]
     # validate_ghd checked connectedness over the bags, and each leaf's
-    # variables lie inside its host's bag
+    # shared variables lie inside its host's view
     return JoinTree(view_ids[g.root], parent, labels, attrs), views
 
 

@@ -156,11 +156,20 @@ def test_ghd_width1_triangle_fails(tmp_path):
     sql = tmp_path / "tri.sql"
     sql.write_text(TRIANGLE_SQL, encoding="utf-8")
     code, text = run(["ghd", str(sql), "--width", "1"])
-    assert code == 1
+    assert code == 2
     assert "no decomposition of width 1" in text
     # width or an imported document is required
     code, _ = run(["ghd", str(sql)])
     assert code == 2
+    # an imported document that does not validate is an input error too
+    ghd_file = tmp_path / "bad.ghd.json"
+    ghd_file.write_text(json.dumps({
+        "root": "n0", "edges": [],
+        "nodes": [{"id": "n0", "bag": ["a", "b"], "cover": ["r"]}]}),
+        encoding="utf-8")
+    code, text = run(["ghd", str(sql), "--ghd-file", str(ghd_file)])
+    assert code == 2
+    assert "valid: no" in text
 
 
 def test_ghd_enumerate_and_validate_roundtrip(tmp_path):
@@ -175,6 +184,17 @@ def test_ghd_enumerate_and_validate_roundtrip(tmp_path):
     code, text = run(["ghd", str(sql), "--ghd-file", str(ghd_file)])
     assert code == 0
     assert "valid: yes" in text
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_ghd_enumerate_below_one_is_a_usage_error(tmp_path, count):
+    sql = tmp_path / "tri.sql"
+    sql.write_text(TRIANGLE_SQL, encoding="utf-8")
+    proc = _yansql_process(["ghd", sql, "--width", "2", "--enumerate", count])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "--enumerate" in proc.stderr
+    assert "no decomposition" not in proc.stdout
 
 
 def test_rewrite_cyclic_requires_ghd_flag(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,9 +13,12 @@ from yansql.decomposition import (CyclicReport, DisconnectedInput,
                                   ghd_to_join_tree, ghd_to_json,
                                   is_valid_join_tree, min_depth_oracle,
                                   validate_ghd)
-from yansql.hypergraph import Hypergraph, build_hypergraph
-from yansql.testing import (gyo_fixpoint_acyclic, random_acyclic_hypergraph,
-                            random_hypergraph)
+from yansql.engine import bag_equal, eval_naive, eval_plan
+from yansql.hypergraph import Hypergraph, build_hypergraph, is_connected
+from yansql.pipeline import compile_cq
+from yansql.testing import (cq_from_hypergraph, gyo_fixpoint_acyclic,
+                            random_acyclic_hypergraph, random_database,
+                            random_hypergraph, run_on_sqlite)
 
 TRIANGLE = Hypergraph({"r": {"a", "b"}, "s": {"b", "c"}, "t": {"c", "a"}})
 
@@ -273,11 +277,20 @@ def test_enumerate_ghds_distinct():
 
 
 def test_find_ghd_too_large():
+    # no edge cap: a 13-edge path decomposes
     h = Hypergraph({f"e{i}": {f"a{i}", f"a{i+1}"} for i in range(13)})
-    with pytest.raises(TooLarge):
-        find_ghd(h, 2)
+    ghd = find_ghd(h, 2)
+    assert ghd is not None and validate_ghd(h, ghd)
     with pytest.raises(TooLarge):
         find_ghd(TRIANGLE, 4)
+
+
+def test_find_ghd_deeper_than_the_recursion_limit_is_too_large():
+    # a long path decomposes only into a tree as deep as the path, and the
+    # recursive search refuses it cleanly instead of overflowing the stack
+    h = Hypergraph({f"e{i}": {f"a{i}", f"a{i+1}"} for i in range(300)})
+    with pytest.raises(TooLarge):
+        find_ghd(h, 1)
 
 
 def test_validate_ghd_rejects_bag_not_covered():
@@ -394,3 +407,52 @@ def test_ghd_search_results_always_validate(seed):
         if ghd is not None:
             assert validate_ghd(h, ghd)
             assert ghd.width <= width
+
+
+def _partition_cover_exists(h: Hypergraph, width: int) -> bool:
+    """Exhaustive reference: some partition of the atoms into covers of at
+    most `width` atoms whose bags, each the whole of vars(cover), form an
+    acyclic hypergraph.  Such a decomposition is a hypertree decomposition,
+    so det-k-decomp must find one of the same width whenever it exists."""
+
+    def partitions(rest):
+        if not rest:
+            yield []
+            return
+        for size in range(width):
+            for others in itertools.combinations(rest[1:], size):
+                block = (rest[0],) + others
+                left = [label for label in rest[1:] if label not in others]
+                for tail in partitions(left):
+                    yield [block] + tail
+
+    return any(
+        gyo_fixpoint_acyclic(Hypergraph({
+            f"n{i}": frozenset().union(*(h.edges[label] for label in block))
+            for i, block in enumerate(blocks)}))
+        for blocks in partitions(sorted(h.edges)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_find_ghd_agrees_with_partition_cover_search(seed):
+    rng = random.Random(seed)
+    h = random_hypergraph(rng, max_edges=7)
+    while not is_connected(h):
+        h = random_hypergraph(rng, max_edges=7)
+    cq = cq_from_hypergraph(h)
+    db = random_database(rng, cq, max_rows=6, domain=4)
+    naive = eval_naive(cq, db)
+    for width in (1, 2, 3):
+        ghd = find_ghd(h, width)
+        if ghd is None:
+            assert not _partition_cover_exists(h, width)
+            continue
+        assert validate_ghd(h, ghd) and ghd.width <= width
+        for node, cover in ghd.covers.items():
+            assert ghd.bags[node] <= frozenset().union(
+                *(h.edges[label] for label in cover))
+        assert frozenset().union(*ghd.covers.values()) == set(h.edges)
+        plan = compile_cq(cq, ghd=ghd).plan
+        assert bag_equal(eval_plan(plan, db).relation, naive)
+        assert run_on_sqlite(plan, db) == naive.rows

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yansql.decomposition import (GHDecomposition, find_ghd, ghd_to_join_tree,
-                                  validate_ghd)
+from yansql.decomposition import (GHDecomposition, connectedness_holds,
+                                  find_ghd, ghd_to_join_tree, validate_ghd)
 from yansql.engine import Relation, bag_equal, eval_naive, eval_plan
+from yansql.hypergraph import Hypergraph
 from yansql.pipeline import (CyclicQuery, PipelineError, compare_on_db,
                              compile_cq, compile_sql)
 from yansql.plan_builder import Mode, StageKind
 from yansql.sql_emitter import GENERIC, emit_plan
-from yansql.sql_frontend import AggregateCall, extract_cq, parse_query
+from yansql.sql_frontend import (AggregateCall, extract_cq, parse_query,
+                                 render_sql)
 from yansql.testing import (cq_from_hypergraph, random_acyclic_cq,
                             random_cyclic_hypergraph, random_database)
 from conftest import EX1_SQL, UNIVERSITY_SQL, run_on_sqlite
@@ -299,6 +301,35 @@ def test_ghd_with_an_atom_added_to_a_cover_stays_bag_equal(seed):
     naive = eval_naive(cq, db)
     assert bag_equal(eval_plan(plan, db).relation, naive)
     assert run_on_sqlite(plan, db) == naive.rows
+
+
+def test_ghd_plan_keeps_null_in_a_variable_of_one_atom():
+    # p belongs to r alone: the view over r must not join r's leaf on it,
+    # or the row with p = NULL is lost
+    h = Hypergraph({"r": {"a", "b", "p"}, "s": {"b", "c"}, "t": {"c", "a"}})
+    cq = cq_from_hypergraph(h)
+    db = {"r": Relation.from_rows(("a", "b", "p"), [(1, 2, None), (1, 2, 5)]),
+          "s": Relation.from_rows(("b", "c"), [(2, 3)]),
+          "t": Relation.from_rows(("a", "c"), [(1, 3)])}
+    plan = compile_cq(cq, ghd=find_ghd(h, 2)).plan
+    naive = eval_naive(cq, db)
+    assert naive.cardinality() == 2
+    assert bag_equal(eval_plan(plan, db).relation, naive)
+    assert run_on_sqlite(plan, db) == naive.rows
+
+
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("k", [12, 16, 20])
+def test_long_cycles_compile_through_ghd(k, width):
+    h = Hypergraph({f"e{i}": {f"v{i}", f"v{(i + 1) % k}"} for i in range(k)})
+    compiled = compile_sql(render_sql(cq_from_hypergraph(h)), ghd_width=width)
+    views = compiled.views
+    assert views and all(len(v.atom_ids) <= width for v in views)
+    assert set().union(*(v.atom_ids for v in views)) == set(h.edges)
+    assert all(connectedness_holds(tree) for tree in compiled.trees)
+    db = random_database(random.Random(100 * k + width), compiled.cq,
+                         max_rows=25)
+    assert compare_on_db(compiled, db).equal
 
 
 def _comparable_rows(rows, schema, avg_columns):
