@@ -2,11 +2,15 @@
 
 Exit codes: 0 success, 1 verification failure (compare found a mismatch),
 2 input error (bad SQL, missing files, infeasible options).
+
+The argument parser is built once per process, on the first `main` call,
+and reused: parsing does not change it, so `main` is reentrant.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -74,7 +78,6 @@ def _compile(cfg: argparse.Namespace):
         ghd_width=cfg.ghd_width,
         ghd=ghd,
         root_override=cfg.root,
-        join_attrs_only=cfg.join_attrs_only,
         seed=cfg.seed,
     )
 
@@ -189,9 +192,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--ghd-file", dest="ghd_path", default=None)
         p.add_argument("--root", default=None,
                        help="override the join-tree root (for 0MA: a guard)")
-        p.add_argument("--join-attrs-only", action="store_true",
-                       help="project setup views and output to join "
-                            "attributes only (full enumeration)")
         p.add_argument("--seed", type=int, default=None)
         if db:
             p.add_argument("--db", dest="db_dir", required=True,
@@ -252,8 +252,11 @@ def run(config: argparse.Namespace, out=None) -> int:
         return 2
 
 
+_parser = functools.cache(build_arg_parser)
+
+
 def main(argv=None, out=None) -> int:
-    return run(build_arg_parser().parse_args(argv), out)
+    return run(_parser().parse_args(argv), out)
 
 
 if __name__ == "__main__":

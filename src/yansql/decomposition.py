@@ -75,25 +75,35 @@ class JoinTree:
     def nodes(self) -> tuple:
         return tuple(sorted(self.labels))
 
-    def children(self, node: str) -> tuple:
-        return tuple(sorted(c for c, p in self.parent.items() if p == node))
+    def child_map(self) -> dict:
+        """node -> its children in label order; leaves are absent."""
+        kids: dict = {}
+        for child in sorted(self.parent):
+            kids.setdefault(self.parent[child], []).append(child)
+        return {u: tuple(cs) for u, cs in kids.items()}
 
-    def _walk(self, u: str, depth: int = 0, reverse: bool = False):
+    def children(self, node: str) -> tuple:
+        return self.child_map().get(node, ())
+
+    def _walk(self, reverse: bool = False):
         """(node, depth) in preorder, siblings in label order or reversed."""
-        yield u, depth
-        kids = self.children(u)
-        for c in kids[::-1] if reverse else kids:
-            yield from self._walk(c, depth + 1, reverse)
+        kids = self.child_map()
+        stack = [(self.root, 0)]
+        while stack:
+            u, depth = stack.pop()
+            yield u, depth
+            cs = kids.get(u, ())
+            stack.extend((c, depth + 1) for c in (cs if reverse else cs[::-1]))
 
     def postorder(self) -> list:
         # children before their parent, siblings in label order
-        return [u for u, _ in self._walk(self.root, reverse=True)][::-1]
+        return [u for u, _ in self._walk(reverse=True)][::-1]
 
     def preorder(self) -> list:
-        return [u for u, _ in self._walk(self.root)]
+        return [u for u, _ in self._walk()]
 
     def depth(self) -> int:
-        return max(d for _, d in self._walk(self.root))
+        return max(d for _, d in self._walk())
 
     def path(self, a: str, b: str) -> list:
         """Nodes on the path from a to b, inclusive."""
@@ -124,7 +134,7 @@ class JoinTree:
         return JoinTree(new_root, parent, dict(self.labels), dict(self.attrs))
 
     def pretty(self) -> str:
-        return "\n".join("  " * d + u for u, d in self._walk(self.root))
+        return "\n".join("  " * d + u for u, d in self._walk())
 
 
 @dataclass

@@ -25,7 +25,6 @@ import operator
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, repeat
@@ -355,8 +354,9 @@ def natural_join(left: Relation, right: Relation, columns=None) -> Relation:
 # ---------------------------------------------------------------------------
 
 def render_fraction(value: Fraction) -> str:
-    dec = Decimal(value.numerator) / Decimal(value.denominator)
-    return str(dec.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN))
+    """Six decimals, rounded half to even from the exact value."""
+    whole, frac = divmod(round(abs(value) * 1_000_000), 1_000_000)
+    return f"{'-' if value < 0 else ''}{whole}.{frac:06d}"
 
 
 # Each fold maps every group to its aggregate over the rows whose group keys
@@ -516,7 +516,7 @@ def eval_naive(cq: ConjunctiveQuery, db: Mapping[str, Relation]) -> Relation:
 def eval_naive_traced(cq: ConjunctiveQuery, db: Mapping[str, Relation]):
     form = normalize_aggregation(cq)
     fin = finalize_spec(form, None if cq.statically_empty else "naive",
-                        Mode.FULL_ENUM, None)
+                        Mode.FULL_ENUM)
     if cq.statically_empty:
         return _finalize_relation(None, fin), NaiveStats(())
     joined, steps = _naive_join_all(cq, db)

@@ -64,19 +64,20 @@ def components(h: Hypergraph) -> list:
 
     Edges with no vertices intersect nothing and form singleton components.
     """
-    remaining = set(h.edges)
-    out = []
-    for label in sorted(h.edges):
-        if label not in remaining:
+    holders: dict = {}  # vertex -> labels of the edges holding it
+    for label, vs in h.edges.items():
+        for v in vs:
+            holders.setdefault(v, []).append(label)
+    out, seen = [], set()
+    for label in h.edges:  # in label order
+        if label in seen:
             continue
-        comp = {label}
-        frontier = [label]
-        while frontier:
-            cur = frontier.pop()
-            for other in sorted(remaining - comp):
-                if h.edges[cur] & h.edges[other]:
-                    comp.add(other)
-                    frontier.append(other)
-        remaining -= comp
+        comp = [label]
+        seen.add(label)
+        for cur in comp:  # grows while it is walked
+            for v in h.edges[cur]:
+                reached = [o for o in holders.pop(v, ()) if o not in seen]
+                seen.update(reached)
+                comp.extend(reached)
         out.append(Hypergraph({l: h.edges[l] for l in comp}))
     return out

@@ -54,20 +54,17 @@ def compile_sql(sql_text: str, mode: str = "auto", join_group_cap: int = 12,
                 ghd_width: Optional[int] = None,
                 ghd: Optional[GHDecomposition] = None,
                 root_override: Optional[str] = None,
-                join_attrs_only: bool = False,
                 seed: Optional[int] = None) -> Compiled:
     cq = extract_cq(parse_query(sql_text))
     return compile_cq(cq, mode=mode, join_group_cap=join_group_cap,
                       ghd_width=ghd_width, ghd=ghd,
-                      root_override=root_override,
-                      join_attrs_only=join_attrs_only, seed=seed)
+                      root_override=root_override, seed=seed)
 
 
 def compile_cq(cq: ConjunctiveQuery, mode: str = "auto",
                join_group_cap: int = 12, ghd_width: Optional[int] = None,
                ghd: Optional[GHDecomposition] = None,
                root_override: Optional[str] = None,
-               join_attrs_only: bool = False,
                seed: Optional[int] = None) -> Compiled:
     h = build_hypergraph(cq)
     form = classification.normalize_aggregation(cq)
@@ -155,7 +152,7 @@ def compile_cq(cq: ConjunctiveQuery, mode: str = "auto",
 
     plan = plan_builder.build_plan(
         trees, form, resolved, join_group_cap=join_group_cap,
-        join_attrs_only=join_attrs_only, views=tuple(views))
+        views=tuple(views))
     return Compiled(cq, h, form, report, trees, tuple(views), resolved, plan,
                     tuple(warnings) + plan.warnings)
 

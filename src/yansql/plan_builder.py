@@ -16,6 +16,7 @@ always references the latest handle of the nodes it touches.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -321,10 +322,11 @@ def base_scan(atom, inner, keep: Optional[frozenset]) -> BaseScan:
 def _greedy_groups(tree: JoinTree, scope: frozenset, cap: int) -> list:
     """Connected subtrees of at most `cap` nodes, closed bottom-up."""
     groups: list = []
+    kids = tree.child_map()
 
     def walk(node: str) -> list:
         acc = [node]
-        for child in tree.children(node):
+        for child in kids.get(node, ()):
             if child not in scope:
                 continue
             sub = walk(child)
@@ -341,7 +343,6 @@ def _greedy_groups(tree: JoinTree, scope: frozenset, cap: int) -> list:
 
 
 def build_plan(trees, form, mode: Mode, join_group_cap: int = 12,
-               join_attrs_only: bool = False,
                views: Sequence[ViewDefinition] = ()) -> StagePlan:
     """Compile tree(s) + aggregation form into the staged plan.
 
@@ -368,14 +369,6 @@ def build_plan(trees, form, mode: Mode, join_group_cap: int = 12,
                 raise PlanError(f"missing view definition {label.ref!r}")
 
     warnings: list = []
-    out_vars = None
-    if join_attrs_only:
-        if mode is not Mode.FULL_ENUM or form.aggregates or form.grouping_vars \
-                or form.having or form.distinct or form.select_one:
-            raise ModeMismatch(
-                "join-attrs-only projection applies to plain full enumeration")
-        out_vars = tuple(sorted(_join_vars(trees)))
-
     if mode is Mode.ZERO_MA:
         report = classification.classify_0ma(form)
         if not report.is_0ma:
@@ -400,8 +393,7 @@ def build_plan(trees, form, mode: Mode, join_group_cap: int = 12,
             sub = covering_subtree(tree, frozenset(form.projection_vars))
         scope = sub
 
-    projection = frozenset(out_vars) if out_vars is not None \
-        else frozenset(form.projection_vars)
+    projection = frozenset(form.projection_vars)
     keep = _join_vars(trees) | projection
 
     handles: dict = {}
@@ -411,14 +403,15 @@ def build_plan(trees, form, mode: Mode, join_group_cap: int = 12,
         raise PlanError("node ids must be unique across trees")
     node_tree = {n: tree for tree in trees for n in tree.labels}
 
+    atoms = {a.atom_id: a for a in form.inner.atoms}
     for node in all_nodes:
         tree = node_tree[node]
         label = tree.labels[node]
         if label.kind == "atom":
-            body: Body = base_scan(form.inner.atom(label.ref), form.inner, keep)
+            body: Body = base_scan(atoms[label.ref], form.inner, keep)
         else:
             view = view_map[label.ref]
-            scans = tuple(base_scan(form.inner.atom(aid), form.inner, None)
+            scans = tuple(base_scan(atoms[aid], form.inner, None)
                           for aid in view.atom_ids)
             body = ViewJoin(scans, tuple(v for v in view.projection if v in keep))
         stmt = PlanStatement("view", f"{node}_setup", body, StageKind.SETUP, node)
@@ -429,8 +422,9 @@ def build_plan(trees, form, mode: Mode, join_group_cap: int = 12,
         return tuple(sorted(tree.attrs[a] & tree.attrs[b] & keep))
 
     for tree in trees:
+        child_map = tree.child_map()
         for node in tree.postorder():
-            kids = tree.children(node)
+            kids = child_map.get(node)
             if not kids:
                 continue
             filters = tuple(
@@ -470,23 +464,22 @@ def build_plan(trees, form, mode: Mode, join_group_cap: int = 12,
     else:
         group_results: list = []
         group_no = itertools.count(1)
-        scoped_nodes = set()
+        # a group keeps the variables of the output and those that some
+        # in-scope node outside it holds too
+        holders: Counter = Counter()
         for tree in trees:
             tree_scope = scope if scope is not None else frozenset(tree.labels)
-            scoped_nodes |= tree_scope
+            holders.update(v for n in tree_scope for v in tree.attrs[n])
         for tree in trees:
             tree_scope = scope if scope is not None else frozenset(tree.labels)
+            preorder = tree.preorder()
             for members in _greedy_groups(tree, tree_scope, join_group_cap):
                 member_set = set(members)
-                ordered = [n for n in tree.preorder() if n in member_set]
-                inside = frozenset().union(
-                    *(tree.attrs[m] for m in members)) & keep
-                outside = frozenset()
-                for t2 in trees:
-                    for n in t2.labels:
-                        if n in scoped_nodes and n not in member_set:
-                            outside |= t2.attrs[n]
-                project = tuple(sorted(inside & (outside | projection)))
+                ordered = [n for n in preorder if n in member_set]
+                mine = Counter(v for m in members for v in tree.attrs[m])
+                project = tuple(sorted(
+                    v for v in mine if v in keep
+                    and (v in projection or holders[v] > mine[v])))
                 name = f"group{next(group_no)}_join"
                 stmt = PlanStatement(
                     "temp", name,
@@ -518,7 +511,7 @@ def build_plan(trees, form, mode: Mode, join_group_cap: int = 12,
             stages[StageKind.JOIN].append(stmt)
             final_handle = stmt.name
 
-    fin = finalize_spec(form, final_handle, mode, out_vars)
+    fin = finalize_spec(form, final_handle, mode)
     stages[StageKind.FINALIZE].append(
         PlanStatement("select", "result", fin, StageKind.FINALIZE, None))
 
@@ -533,19 +526,7 @@ def build_plan(trees, form, mode: Mode, join_group_cap: int = 12,
     )
 
 
-def finalize_spec(form, source: Optional[str], mode: Mode,
-              out_vars: Optional[tuple]) -> Finalize:
-    if out_vars is not None:
-        return Finalize(
-            source=source,
-            project_first=out_vars,
-            distinct_input=False,
-            group_by=(),
-            aggregates=(),
-            having=None,
-            distinct_output=False,
-            output=tuple(OutputColumn("var", v) for v in out_vars),
-        )
+def finalize_spec(form, source: Optional[str], mode: Mode) -> Finalize:
     if form.select_one:
         return Finalize(
             source=source,
@@ -573,7 +554,7 @@ def finalize_spec(form, source: Optional[str], mode: Mode,
 
 
 def _empty_plan(form, mode: Mode) -> StagePlan:
-    fin = finalize_spec(form, None, mode, None)
+    fin = finalize_spec(form, None, mode)
     stmt = PlanStatement("select", "result", fin, StageKind.FINALIZE, None)
     return StagePlan(
         mode=mode,

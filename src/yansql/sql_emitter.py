@@ -75,12 +75,27 @@ def _literal(value) -> str:
     return "'" + str(value).replace("'", "''") + "'"
 
 
+def _handle_columns(plan: StagePlan) -> dict:
+    """handle -> the variables it exposes (a semi-join: its source's)."""
+    columns: dict = {}
+    for stmt in plan.statements():
+        body = stmt.body
+        if isinstance(body, BaseScan):
+            columns[stmt.name] = tuple(v for _, v in body.columns)
+        elif isinstance(body, (ViewJoin, NaturalJoin)):
+            columns[stmt.name] = tuple(body.project)
+        elif isinstance(body, SemiJoin) and body.source in columns:
+            columns[stmt.name] = columns[body.source]
+    return columns
+
+
 class _Emitter:
     def __init__(self, plan: StagePlan, dialect: Dialect, prefix: str = ""):
         self.plan = plan
         self.dialect = dialect
         self.prefix = f"{prefix}_" if prefix else ""
         self.created: list = []  # (kind, name) for cleanup
+        self.columns = _handle_columns(plan)
 
     def handle(self, name: str) -> str:
         return _quote(self.prefix + name, self.dialect)
@@ -186,7 +201,9 @@ class _Emitter:
         home: dict = {}
         preds = []
         for handle, name in zip(handles, body.inputs):
-            for var in self._handle_columns(name):
+            if name not in self.columns:
+                raise EmitError(f"unknown handle {name!r}")
+            for var in self.columns[name]:
                 ref = f"{handle}.{_quote(var, self.dialect)}"
                 if var in home:
                     preds.append(f"{home[var]}={ref}")
@@ -199,20 +216,6 @@ class _Emitter:
         if preds:
             sql += " WHERE " + " AND ".join(preds)
         return sql
-
-    def _handle_columns(self, name: str) -> tuple:
-        """Variables exposed by an already-emitted handle."""
-        for stmt in self.plan.statements():
-            if stmt.name != name:
-                continue
-            body = stmt.body
-            if isinstance(body, BaseScan):
-                return tuple(v for _, v in body.columns)
-            if isinstance(body, (ViewJoin, NaturalJoin)):
-                return tuple(body.project)
-            if isinstance(body, SemiJoin):
-                return self._handle_columns(body.source)
-        raise EmitError(f"unknown handle {name!r}")
 
     def finalize_select(self, fin: Finalize) -> str:
         if fin.source is None:

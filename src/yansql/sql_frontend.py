@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import YansqlError
 
@@ -61,6 +61,7 @@ class InvalidQuery(FrontendError):
 
 
 AGGREGATE_FUNCS = ("MIN", "MAX", "SUM", "COUNT", "AVG")
+_AGGREGATE_NAMES = frozenset(f.lower() for f in AGGREGATE_FUNCS)
 COMPARATORS = ("=", "<", "<=", ">", ">=", "<>")
 
 Value = Union[int, str]
@@ -154,16 +155,20 @@ class Atom:
     relation: str
     attr_vars: tuple  # ((attribute, variable), ...) sorted by attribute
 
-    @property
-    def variables(self) -> frozenset:
-        return frozenset(v for _, v in self.attr_vars)
+    def __post_init__(self):
+        # derived once; not fields, so equality and hashing ignore them
+        sources: dict = {}
+        for a, v in self.attr_vars:
+            sources[v] = sources.get(v, ()) + (a,)
+        object.__setattr__(self, "_sources", sources)
+        object.__setattr__(self, "variables", frozenset(sources))
 
     def attr_map(self) -> dict:
         return dict(self.attr_vars)
 
     def sources_of(self, var: str) -> tuple:
         """Attributes of this atom mapped to `var`, lexicographic."""
-        return tuple(a for a, v in self.attr_vars if v == var)
+        return self._sources.get(var, ())
 
 
 @dataclass(frozen=True)
@@ -237,12 +242,16 @@ class ConjunctiveQuery:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# Whitespace before a token is part of its match, and any other character
+# matches as `bad`, so consecutive matches cover the text without a gap.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<string>'(?:[^']|'')*')
-      | (?P<number>\d+(?:\.\d+)?)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op><>|<=|>=|!=|[=<>(),.;*+\-/%])
+    r"""\s*
+      (?: (?P<string>'(?:[^']|'')*')
+        | (?P<number>\d+(?:\.\d+)?)
+        | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+        | (?P<op><>|<=|>=|!=|[=<>(),.;*+\-/%])
+        | (?P<bad>\S)
+      )
     """,
     re.VERBOSE,
 )
@@ -266,8 +275,7 @@ _REJECTED = {
 }
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident | number | string | op | end
     text: str
     pos: int
@@ -275,18 +283,13 @@ class _Token:
 
 def _scan(sql: str) -> list:
     tokens = []
-    pos = 0
-    while pos < len(sql):
-        m = _TOKEN_RE.match(sql, pos)
-        if m is None:
-            raise SqlSyntaxError("unexpected character", pos, sql[pos])
-        if m.lastgroup != "ws":
-            text = m.group()
-            kind = m.lastgroup
-            if kind == "ident":
-                text = text.lower()
-            tokens.append(_Token(kind, text, pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(sql):
+        kind = m.lastgroup
+        text, pos = m[kind], m.start(kind)
+        if kind == "bad":
+            raise SqlSyntaxError("unexpected character", pos, text)
+        tokens.append(_Token(kind, text.lower() if kind == "ident" else text,
+                             pos))
     tokens.append(_Token("end", "", len(sql)))
     return tokens
 
@@ -294,12 +297,14 @@ def _scan(sql: str) -> list:
 class _Parser:
     def __init__(self, sql: str):
         self.tokens = _scan(sql)
+        # a second end token lets `peek(1)` at the end skip a bounds check
+        self.tokens.append(self.tokens[-1])
         self.i = 0
 
     # -- token helpers ------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.i + ahead]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.i]
@@ -392,7 +397,7 @@ class _Parser:
                     raise UnsupportedFeature("select literal other than 1", tok.pos)
                 self.advance()
                 literal_one = True
-            elif tok.kind == "ident" and tok.text in map(str.lower, AGGREGATE_FUNCS) \
+            elif tok.kind == "ident" and tok.text in _AGGREGATE_NAMES \
                     and self.peek(1).kind == "op" and self.peek(1).text == "(":
                 items.append(self.parse_aggregate_call())
             else:
@@ -526,14 +531,14 @@ class _Parser:
                 self.fail("expected integer after '-'")
             self.advance()
             return -int(num.text)
-        if tok.kind == "ident" and tok.text in map(str.lower, AGGREGATE_FUNCS) \
+        if tok.kind == "ident" and tok.text in _AGGREGATE_NAMES \
                 and self.peek(1).kind == "op" and self.peek(1).text == "(":
             raise UnsupportedFeature("aggregate in WHERE", tok.pos)
         return self.parse_column_ref()
 
     def parse_having(self) -> HavingComparison:
         tok = self.peek()
-        if tok.kind == "ident" and tok.text in map(str.lower, AGGREGATE_FUNCS):
+        if tok.kind == "ident" and tok.text in _AGGREGATE_NAMES:
             agg = self.parse_aggregate_call()
             optok = self.peek()
             if optok.kind != "op" or optok.text not in ("=", "<", "<=", ">", ">=", "<>", "!="):
@@ -617,8 +622,7 @@ def extract_cq(pq: ParsedQuery) -> ConjunctiveQuery:
     uf = _UnionFind()
     resolved_select: list = []
     for item in pq.select_items:
-        ref = item.ref if isinstance(item, SelectColumn) else item.ref
-        resolved_select.append(resolve(ref))
+        resolved_select.append(resolve(item.ref))
         uf.add(resolved_select[-1])
     const_conjuncts: list = []
     for conj in pq.where_conjuncts:
@@ -659,12 +663,12 @@ def extract_cq(pq: ParsedQuery) -> ConjunctiveQuery:
         for member in cls:
             var_of[member] = name
 
-    atoms = []
-    for item in pq.from_items:
-        attr_vars = sorted(
-            (attr, var) for (alias, attr), var in var_of.items() if alias == item.alias
-        )
-        atoms.append(Atom(item.alias, item.table, tuple(attr_vars)))
+    attr_vars: dict = {}
+    for (alias, attr), var in var_of.items():
+        attr_vars.setdefault(alias, []).append((attr, var))
+    atoms = [Atom(item.alias, item.table,
+                  tuple(sorted(attr_vars.get(item.alias, ()))))
+             for item in pq.from_items]
 
     selections = tuple(
         ConstantSelection(alias, attr, op, value)

@@ -1,12 +1,17 @@
+import contextlib
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yansql.cli import main
 from yansql.testing import write_db_csv
@@ -363,3 +368,136 @@ def test_compare_short_circuit_flag(tmp_path, university_db):
     assert code == 0
     assert "bag-equal: true" in text
     assert "skipped:" in text
+
+
+def _in_process(argv):
+    """In-process `yansql argv`: (exit code, stdout, stderr); an argparse
+    rejection counts as its SystemExit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv], out=out)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _mask_micros(text):
+    """Blank the timing column of a `--stats` block, which differs from
+    run to run."""
+    head, header, stats = text.partition("statement\trows\tmicros\n")
+    return head + header + re.sub(r"\t\d+$", "\t-", stats, flags=re.M)
+
+
+def test_main_is_reentrant(ex1_paths, monkeypatch):
+    # one process reuses one parser: each call must print what a fresh
+    # `python -m yansql` prints, so no option value or default may leak
+    sql, db = ex1_paths
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to it
+    calls = [
+        ["rewrite", sql, "--mode", "fullenum", "--dialect", "generic",
+         "--prefix", "p"],
+        ["rewrite", sql],
+        ["rewrite", sql, "--dialect", "nosuch"],
+        ["analyze", sql],
+        ["exec", sql, "--db", db, "--stats"],
+        ["exec", sql, "--db", db, "--format", "tsv"],
+    ]
+    seen = []
+    for argv in calls:
+        code, out, err = _in_process(argv)
+        proc = _yansql_process(argv)
+        assert (code, _mask_micros(out), err) == \
+            (proc.returncode, _mask_micros(proc.stdout), proc.stderr), argv
+        seen.append(code)
+    assert seen == [0, 0, 2, 0, 0, 0]
+
+
+_FUZZ_RELATIONS = ("r", "s", "t")
+_FUZZ_COLUMNS = ("a", "b", "c")
+_FUZZ_PIECES = (
+    "SELECT", "DISTINCT", "FROM", "WHERE", "AND", "OR", "GROUP BY",
+    "HAVING", "INNER JOIN", "ON", "AS", "r", "s", "t", "r.a", "r.b", "s.b",
+    "s.c", "t.a", "t.c", "a", "MIN(r.a)", "COUNT(DISTINCT s.c)", "SUM(r.b)",
+    "AVG(s.c)", "MAX(", "(", ")", ",", "=", "<", ">=", "<>", "!=", "1",
+    "-2", "'x''y'", "'", "1.5", ";", "*", "NULL", "é", "٣",
+    "\t", "\n")
+
+
+@st.composite
+def _fuzz_sql(draw):
+    """A query over r, s, t that mostly compiles, or loose SQL-ish text."""
+    if draw(st.sampled_from(["query"] * 3 + ["loose"])) == "loose":
+        return draw(st.lists(st.sampled_from(_FUZZ_PIECES), max_size=14)
+                    .map(" ".join) | st.text(max_size=20))
+    rels = draw(st.lists(st.sampled_from(_FUZZ_RELATIONS), min_size=1,
+                         max_size=3, unique=True))
+    col = st.tuples(st.sampled_from(rels), st.sampled_from(_FUZZ_COLUMNS)) \
+        .map(".".join)
+    const = st.sampled_from(["1", "-3", "'x'", "''", "'é'"])
+    conds = draw(st.lists(
+        st.tuples(col, col).map(" = ".join)
+        | st.tuples(col, st.sampled_from(["=", "<", ">=", "<>"]), const)
+        .map(" ".join), max_size=4))
+    agg = draw(st.sampled_from(["", "MIN", "MAX", "SUM", "COUNT", "AVG"]))
+    group = draw(st.lists(col, max_size=2, unique=True)) if agg else []
+    items = list(group) if agg else draw(st.lists(col, min_size=1, max_size=3))
+    if agg:
+        items.append(f"{agg}({draw(col)})")
+    sql = f"SELECT {draw(st.sampled_from(['', 'DISTINCT ']))}" \
+        f"{', '.join(items)} FROM {', '.join(rels)}"
+    if conds:
+        sql += " WHERE " + " AND ".join(conds)
+    if group:
+        sql += " GROUP BY " + ", ".join(group)
+        if draw(st.booleans()):
+            sql += f" HAVING {items[-1]} > 1"
+    return sql
+
+
+_fuzz_field = st.sampled_from(["", "0", "1", "-3", "x", "é", "²",
+                               '"q,"', "9" * 25, "a b"])
+
+
+def _csv_text(rows):
+    return "\n".join(",".join(row) for row in [_FUZZ_COLUMNS, *rows]) \
+        .encode("utf-8")
+
+
+# well-formed tables (twice as often), rows of any arity, and raw bytes
+_fuzz_csv = st.one_of(
+    *[st.lists(st.lists(_fuzz_field, min_size=3, max_size=3), max_size=6)
+      .map(_csv_text)] * 2,
+    st.lists(st.lists(_fuzz_field, min_size=1, max_size=4), max_size=4)
+    .map(_csv_text),
+    st.binary(max_size=24))
+
+_FUZZ_FLAGS = (
+    ["exec", "--stats"], ["compare"], ["exec", "--mode", "zeroma"],
+    ["compare", "--mode", "partial", "--stats"],
+    ["exec", "--format", "tsv", "--mode", "fullenum"],
+    ["compare", "--ghd-width", "2"], ["exec", "--ghd-width", "1"],
+    ["rewrite"], ["rewrite", "--dialect", "generic"],
+    ["rewrite", "--mode", "zeroma"], ["rewrite", "--mode", "partial"],
+    ["rewrite", "--ghd-width", "2"], ["analyze"], ["ghd", "--width", "2"],
+    ["ghd", "--width", "1", "--enumerate", "3"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzz_sql(), st.lists(_fuzz_csv, min_size=3, max_size=3),
+       st.sampled_from(_FUZZ_FLAGS))
+def test_cli_fuzz_exit_codes(sql, tables, flags):
+    """No exception escapes `main`, the exit code is 0, 1 or 2, and 1
+    comes only from `compare`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "q.sql").write_text(sql, encoding="utf-8")
+        for rel, content in zip(_FUZZ_RELATIONS, tables):
+            (d / f"{rel}.csv").write_bytes(content)
+        argv = [flags[0], d / "q.sql", *flags[1:]]
+        if flags[0] in ("exec", "compare"):
+            argv += ["--db", d]
+        code, _, err = _in_process(argv)
+    assert code in (0, 1, 2), (code, err)
+    assert code != 1 or flags[0] == "compare", err
+    assert "Traceback" not in err

@@ -287,6 +287,18 @@ def test_aggregate_avg_decimal_string():
     assert out.rows == {("1.500000",): 1}
 
 
+def test_aggregate_avg_beyond_decimal_precision():
+    # 25 integer digits plus 6 decimals need more than the 28 digits of
+    # the default decimal context; the rounding stays exact and half-even
+    big = 10 ** 25 - 1
+    rel = Relation.from_rows(("x",), [(big,), (big + 1,)])
+    out = aggregate(rel, (), (AggregateCall("AVG", "x", False),))
+    assert out.rows == {("9999999999999999999999999.500000",): 1}
+    assert render_fraction(Fraction(-1, 10 ** 7)) == "-0.000000"
+    assert render_fraction(Fraction(5, 10 ** 7)) == "0.000000"
+    assert render_fraction(Fraction(15, 10 ** 7)) == "0.000002"
+
+
 def test_aggregate_distinct_call():
     rel = Relation.from_rows(("g", "x"), [("a", 2), ("a", 2), ("a", 3)])
     out = aggregate(rel, ("g",), (AggregateCall("COUNT", "x", True),

@@ -252,21 +252,6 @@ def test_statically_empty_plan():
     assert plan.warnings
 
 
-def test_join_attrs_only_projection(university_cq):
-    cq = extract_cq(parse_query(
-        "SELECT r.a, s.b FROM r, s WHERE r.k = s.k"))
-    form = normalize_aggregation(cq)
-    tree = flat_gyo(build_hypergraph(cq))
-    plan = build_plan(tree, form, Mode.FULL_ENUM, join_attrs_only=True)
-    assert plan.output_projection == ("k",)
-    for stmt in plan.stage(StageKind.SETUP):
-        assert [v for _, v in stmt.body.columns] == ["k"]
-    form_u = normalize_aggregation(university_cq)
-    tree_u = flat_gyo(build_hypergraph(university_cq))
-    with pytest.raises(ModeMismatch):
-        build_plan(tree_u, form_u, Mode.FULL_ENUM, join_attrs_only=True)
-
-
 def test_early_projection_drops_group_only_vars():
     # variable z lives only below the group boundary and is dropped by the
     # group join projection

@@ -6,10 +6,13 @@ import pytest
 from yansql.classification import normalize_aggregation
 from yansql.decomposition import JoinTree, base_atom
 from yansql.hypergraph import build_hypergraph
-from yansql.plan_builder import Mode, build_plan
-from yansql.sql_emitter import (DUCKDB, GENERIC, POSTGRES, SPARK,
-                                UnsupportedInDialect, emit_plan,
-                                emit_script)
+from yansql.plan_builder import (BaseScan, Finalize, Mode, NaturalJoin,
+                                 OutputColumn, PlanStatement, SemiJoin,
+                                 SemiJoinFilter, StageKind, StagePlan,
+                                 build_plan)
+from yansql.sql_emitter import (DUCKDB, GENERIC, POSTGRES, SPARK, EmitError,
+                                UnsupportedInDialect, _handle_columns,
+                                emit_plan, emit_script)
 from yansql.sql_frontend import extract_cq, parse_query
 
 from conftest import UNIVERSITY_SQL
@@ -185,3 +188,57 @@ def test_quoting_non_plain_identifiers():
     compiled = compile_sql('SELECT r.a FROM r WHERE r.a = 1')
     statements = emit_plan(compiled.plan, POSTGRES, prefix="Weird Name")
     assert '"Weird Name_r_setup"' in statements[0]
+
+
+def _chain_plan(join_inputs=("t_sjup", "s_sjdown", "r_sjdown")):
+    """Path t(a,b) - s(b,c) - r(c,d) rooted at t, written out by hand: the
+    handle of s goes SETUP -> SEMIJOIN_UP -> SEMIJOIN_DOWN before the JOIN
+    reads it."""
+    def scan(rel, *cols):
+        return BaseScan(rel, (), (), tuple((c, c) for c in cols))
+
+    def semi(name, source, handle, keys, stage, node):
+        return PlanStatement("temp", name, SemiJoin(
+            source, (SemiJoinFilter(handle, keys),)), stage, node)
+
+    up, down = StageKind.SEMIJOIN_UP, StageKind.SEMIJOIN_DOWN
+    stages = {
+        StageKind.SETUP: tuple(
+            PlanStatement("view", f"{n}_setup", scan(n, *cols),
+                          StageKind.SETUP, n)
+            for n, cols in (("r", "cd"), ("s", "bc"), ("t", "ab"))),
+        up: (semi("s_sjup", "s_setup", "r_setup", ("c",), up, "s"),
+             semi("t_sjup", "t_setup", "s_sjup", ("b",), up, "t")),
+        down: (semi("s_sjdown", "s_sjup", "t_sjup", ("b",), down, "s"),
+               semi("r_sjdown", "r_setup", "s_sjdown", ("c",), down, "r")),
+        StageKind.JOIN: (PlanStatement(
+            "temp", "group1_join", NaturalJoin(join_inputs, ("a", "d")),
+            StageKind.JOIN, None),),
+        StageKind.FINALIZE: (PlanStatement(
+            "select", "result", Finalize(
+                "group1_join", ("a", "d"), False, (), (), None, False,
+                (OutputColumn("var", "a"), OutputColumn("var", "d"))),
+            StageKind.FINALIZE, None),),
+    }
+    return StagePlan(Mode.FULL_ENUM, stages,
+                     {"t": "t_sjup", "s": "s_sjdown", "r": "r_sjdown"},
+                     ("a", "d"), None, ("t",))
+
+
+def test_join_columns_resolve_through_semijoin_chain():
+    plan = _chain_plan()
+    assert _handle_columns(plan) == {
+        "r_setup": ("c", "d"), "s_setup": ("b", "c"), "t_setup": ("a", "b"),
+        "s_sjup": ("b", "c"), "t_sjup": ("a", "b"), "s_sjdown": ("b", "c"),
+        "r_sjdown": ("c", "d"), "group1_join": ("a", "d")}
+    join = emit_plan(plan, GENERIC)[-2]
+    assert join == (
+        "CREATE TEMP TABLE group1_join AS SELECT t_sjup.a AS a, "
+        "r_sjdown.d AS d FROM t_sjup, s_sjdown, r_sjdown "
+        "WHERE t_sjup.b=s_sjdown.b AND s_sjdown.c=r_sjdown.c")
+
+
+def test_join_over_unknown_handle_is_an_emit_error():
+    plan = _chain_plan(join_inputs=("t_sjup", "nowhere"))
+    with pytest.raises(EmitError, match="unknown handle 'nowhere'"):
+        emit_plan(plan, GENERIC)

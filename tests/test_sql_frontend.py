@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 from yansql.sql_frontend import (AggregateCall, AmbiguousColumn, ColumnRef,
                                  ConstantSelection, InvalidQuery,
                                  SqlSyntaxError, UnknownColumn,
-                                 UnsupportedFeature, extract_cq, parse_query,
-                                 render_sql)
+                                 UnsupportedFeature, _scan, extract_cq,
+                                 parse_query, render_sql)
 
 from conftest import EX1_SQL, UNIVERSITY_SQL
 
@@ -70,6 +72,61 @@ def test_syntax_error_carries_position_and_token():
         parse_query("SELECT a FROM r WHERE r.a = = 1")
     assert exc.value.position >= 0
     assert exc.value.token == "="
+
+
+# The tokenizer as it was written first: one match per token and per
+# whitespace run, tried at each position in turn.  `_scan` must split any
+# text as it did, and fail at the same character.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<string>'(?:[^']|'')*')
+      | (?P<number>\d+(?:\.\d+)?)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<op><>|<=|>=|!=|[=<>(),.;*+\-/%])
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_scan(sql):
+    """(tokens, None), or (None, (position, character)) on a bad one."""
+    tokens = []
+    pos = 0
+    while pos < len(sql):
+        m = _REFERENCE_TOKEN_RE.match(sql, pos)
+        if m is None:
+            return None, (pos, sql[pos])
+        if m.lastgroup != "ws":
+            text = m.group()
+            if m.lastgroup == "ident":
+                text = text.lower()
+            tokens.append((m.lastgroup, text, pos))
+        pos = m.end()
+    tokens.append(("end", "", len(sql)))
+    return tokens, None
+
+
+# SQL letters, digits, quotes, operators, whitespace (NBSP and U+2028
+# too), a non-ASCII decimal digit (U+0663), a digit-like non-digit (U+00B2)
+# and other characters outside the fragment
+_SCAN_CHARS = "sSeElLcCtTfFrRoOmMwWhH_ab09'\" \t\n\r=<>!(),.;*+-/%?#`é\u00a0" \
+    "\u2028\u0663\u00b2"
+_SCAN_PIECES = ["SELECT", "from", "'it''s'", "''", "'open", "<>", "!=",
+                "<=", "1.5", "1.", ".5", "-3", "r.a", "  ", "\t\n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_SCAN_PIECES) | st.text(_SCAN_CHARS,
+                                                        max_size=4),
+                max_size=12).map("".join))
+def test_scan_agrees_with_per_position_reference(text):
+    expected, error = _reference_scan(text)
+    if error is None:
+        assert [tuple(t) for t in _scan(text)] == expected
+    else:
+        with pytest.raises(SqlSyntaxError) as exc:
+            _scan(text)
+        assert (exc.value.position, exc.value.token) == error
 
 
 def test_parse_normalizes_identifier_case():
