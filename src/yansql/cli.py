@@ -125,7 +125,7 @@ def cmd_rewrite(cfg: argparse.Namespace, out) -> int:
 def cmd_exec(cfg: argparse.Namespace, out) -> int:
     compiled = _compile(cfg)
     db = _load_db(cfg, compiled.cq)
-    result = eval_plan(compiled.plan, db, short_circuit=cfg.short_circuit)
+    result = eval_plan(compiled.plan, db)
     _print_relation(result.relation, cfg.format, out)
     if cfg.stats:
         _print_stats(result.stats, out)
@@ -166,8 +166,7 @@ def cmd_ghd(cfg: argparse.Namespace, out) -> int:
 def cmd_compare(cfg: argparse.Namespace, out) -> int:
     compiled = _compile(cfg)
     db = _load_db(cfg, compiled.cq)
-    cmp = pipeline.compare_on_db(compiled, db,
-                                 short_circuit=cfg.short_circuit)
+    cmp = pipeline.compare_on_db(compiled, db)
     out.write(f"bag-equal: {'true' if cmp.equal else 'false'}\n")
     out.write(f"naive max intermediate: {cmp.naive_max_intermediate}\n")
     out.write(f"plan max intermediate: {cmp.plan_max_intermediate}\n")
@@ -197,7 +196,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
             p.add_argument("--db", dest="db_dir", required=True,
                            help="directory with <relation>.csv files")
             p.add_argument("--stats", action="store_true")
-            p.add_argument("--short-circuit", action="store_true")
             p.add_argument("--format", choices=["text", "tsv"], default="text")
 
     p = sub.add_parser("analyze", help="hypergraph, join tree, 0MA report")

@@ -464,9 +464,7 @@ def aggregate(rel: Relation, grouping, aggs, distinct_input: bool = False) -> Re
 # Shared FINALIZE semantics
 # ---------------------------------------------------------------------------
 
-def _finalize_relation(rel: Optional[Relation], fin: Finalize) -> Relation:
-    if fin.source is None or rel is None:
-        return Relation(tuple(c.name for c in fin.output))
+def _finalize_relation(rel: Relation, fin: Finalize) -> Relation:
     if fin.distinct_input:
         rel = distinct(project(rel, fin.project_first))
     # otherwise group the source itself: projecting it first changes nothing
@@ -514,11 +512,7 @@ def eval_naive(cq: ConjunctiveQuery, db: Mapping[str, Relation]) -> Relation:
 
 
 def eval_naive_traced(cq: ConjunctiveQuery, db: Mapping[str, Relation]):
-    form = normalize_aggregation(cq)
-    fin = finalize_spec(form, None if cq.statically_empty else "naive",
-                        Mode.FULL_ENUM)
-    if cq.statically_empty:
-        return _finalize_relation(None, fin), NaiveStats(())
+    fin = finalize_spec(normalize_aggregation(cq), "naive", Mode.FULL_ENUM)
     joined, steps = _naive_join_all(cq, db)
     return _finalize_relation(joined, fin), NaiveStats(tuple(steps))
 
@@ -558,19 +552,20 @@ def _lookup(env: dict, handle: str) -> Relation:
         raise PlanReferenceError(f"undefined handle {handle!r}") from None
 
 
-def eval_plan(plan: StagePlan, db: Mapping[str, Relation],
-              short_circuit: bool = False) -> EvalResult:
+def eval_plan(plan: StagePlan, db: Mapping[str, Relation]) -> EvalResult:
     """Interpret the plan statement by statement.
 
-    With `short_circuit`, the SEMIJOIN_DOWN and JOIN stages are skipped when
-    every tree root is empty after the bottom-up pass; FINALIZE still runs
-    (a global aggregate over an empty join yields one row of nulls).
+    When every tree root is empty after the bottom-up pass, the join is
+    empty: each SEMIJOIN_DOWN and JOIN statement binds an empty relation of
+    its columns without running, and those stages are reported as skipped.
+    FINALIZE still runs (a global aggregate over an empty join yields one
+    row).
     """
     env: dict = {}
     stats = StageStats()
     result: Optional[Relation] = None
     skipped: list = []
-    abort_tail = False
+    empty_join = False
 
     def run_body(body):
         if isinstance(body, BaseScan):
@@ -581,35 +576,32 @@ def eval_plan(plan: StagePlan, db: Mapping[str, Relation],
                 body.project))
         if isinstance(body, SemiJoin):
             rel = _lookup(env, body.source)
+            if empty_join:
+                return Relation(rel.schema)
             for f in body.filters:
                 rel = semi_join(rel, _lookup(env, f.handle),
                                 [(k, k) for k in f.keys])
             return rel
         if isinstance(body, NaturalJoin):
+            if empty_join:
+                return Relation(body.project)
             return _join_project([_lookup(env, handle)
                                   for handle in body.inputs], body.project)
         raise PlanReferenceError(f"unexpected body {body!r}")
 
     for kind in StageKind:
         statements = plan.stage(kind)
-        if abort_tail and kind in (StageKind.SEMIJOIN_DOWN, StageKind.JOIN):
-            if statements:
-                skipped.append(kind.value)
-            continue
+        if empty_join and statements and kind is not StageKind.FINALIZE:
+            skipped.append(kind.value)
         started = time.perf_counter_ns()
         max_rows = 0
         for stmt in statements:
             t0 = time.perf_counter_ns()
             if kind is StageKind.FINALIZE:
-                fin: Finalize = stmt.body
-                if abort_tail:  # the join is empty
-                    source = Relation(tuple(fin.project_first))
-                else:
-                    source = _lookup(env, fin.source) if fin.source else None
-                rel = result = _finalize_relation(source, fin)
+                rel = result = _finalize_relation(
+                    _lookup(env, stmt.body.source), stmt.body)
             else:
-                rel = run_body(stmt.body)
-                env[stmt.name] = rel
+                rel = env[stmt.name] = run_body(stmt.body)
             micros = (time.perf_counter_ns() - t0) // 1000
             rows = rel.cardinality()
             stats.statement_rows[stmt.name] = rows
@@ -618,12 +610,10 @@ def eval_plan(plan: StagePlan, db: Mapping[str, Relation],
         stats.stage_max_rows[kind.value] = max_rows
         stats.stage_micros[kind.value] = \
             (time.perf_counter_ns() - started) // 1000
-        if kind is StageKind.SEMIJOIN_UP and short_circuit:
-            # a tree root empty after the up pass empties the whole result
-            for node in plan.roots:
-                handle = plan.node_handle_after(node, StageKind.SEMIJOIN_UP)
-                if env[handle].cardinality() == 0:
-                    abort_tail = True
+        if kind is StageKind.SEMIJOIN_UP:
+            empty_join = bool(plan.roots) and not any(
+                _lookup(env, plan.node_relations[root]).rows
+                for root in plan.roots)
     stats.skipped_stages = tuple(skipped)
     if result is None:
         raise PlanReferenceError("plan has no FINALIZE statement")

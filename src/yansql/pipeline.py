@@ -70,12 +70,6 @@ def compile_cq(cq: ConjunctiveQuery, mode: str = "auto",
     form = classification.normalize_aggregation(cq)
     report = classification.classify_0ma(form)
     warnings: list = []
-
-    if cq.statically_empty:
-        plan = plan_builder.build_plan([], form, Mode.FULL_ENUM)
-        return Compiled(cq, h, form, report, [], (), Mode.FULL_ENUM, plan,
-                        plan.warnings)
-
     trees: list = []
     views: list = []
     if ghd is not None:
@@ -169,11 +163,10 @@ class Comparison:
         return self.plan_result.stats.max_intermediate()
 
 
-def compare_on_db(compiled: Compiled, db: Mapping[str, Relation],
-                  short_circuit: bool = False) -> Comparison:
+def compare_on_db(compiled: Compiled, db: Mapping[str, Relation]) -> Comparison:
     """Run the staged plan and the brute-force oracle; bag-compare."""
     naive, naive_stats = eval_naive_traced(compiled.cq, db)
-    plan_result = eval_plan(compiled.plan, db, short_circuit=short_circuit)
+    plan_result = eval_plan(compiled.plan, db)
     return Comparison(
         equal=bag_equal(naive, plan_result.relation),
         naive=naive,

@@ -106,7 +106,7 @@ class OutputColumn:
 
 @dataclass(frozen=True)
 class Finalize:
-    source: Optional[str]        # None compiles an empty result
+    source: str
     project_first: tuple         # pi_S before anything else
     distinct_input: bool         # delta before grouping (0MA / partial)
     group_by: tuple
@@ -136,7 +136,7 @@ def statement_dependencies(stmt: PlanStatement) -> tuple:
     if isinstance(body, NaturalJoin):
         return tuple(body.inputs)
     if isinstance(body, Finalize):
-        return (body.source,) if body.source else ()
+        return (body.source,)
     return ()
 
 
@@ -207,7 +207,7 @@ def _body_text(body: Body) -> str:
     if isinstance(body, NaturalJoin):
         return f"join({' '.join(body.inputs)}) project[{' '.join(body.project)}]"
     if isinstance(body, Finalize):
-        parts = [f"finalize {body.source or '<empty>'}"]
+        parts = [f"finalize {body.source}"]
         if body.project_first:
             parts.append(f"pi[{' '.join(body.project_first)}]")
         if body.distinct_input:
@@ -269,11 +269,9 @@ def covering_subtree(tree: JoinTree, variables: frozenset) -> frozenset:
 
 
 def select_root(tree: JoinTree, report) -> JoinTree:
-    """Re-root for the chosen evaluation mode.
-
-    0MA: root at the guard.  Set-safe but unguarded: root inside the minimal
-    subtree covering S so the bottom-up pass accounts for everything outside
-    it.  Otherwise the tree is returned unchanged.
+    """Re-root a 0MA query's tree at the chosen guard's atom node; any other
+    report returns the tree unchanged.  (A partial plan is re-rooted inside
+    the subtree covering S by `build_plan`.)
     """
     if report.is_0ma:
         target = None
@@ -355,8 +353,6 @@ def build_plan(trees, form, mode: Mode, join_group_cap: int = 12,
     if isinstance(trees, JoinTree):
         trees = [trees]
     trees = sorted(trees, key=lambda t: t.root)
-    if form.inner.statically_empty:
-        return _empty_plan(form, mode)
     if not trees or any(not t.labels for t in trees):
         raise EmptyTree("plan needs at least one non-empty join tree")
     if join_group_cap < 1:
@@ -526,7 +522,7 @@ def build_plan(trees, form, mode: Mode, join_group_cap: int = 12,
     )
 
 
-def finalize_spec(form, source: Optional[str], mode: Mode) -> Finalize:
+def finalize_spec(form, source: str, mode: Mode) -> Finalize:
     if form.select_one:
         return Finalize(
             source=source,
@@ -552,16 +548,3 @@ def finalize_spec(form, source: Optional[str], mode: Mode) -> Finalize:
         output=tuple(output),
     )
 
-
-def _empty_plan(form, mode: Mode) -> StagePlan:
-    fin = finalize_spec(form, None, mode)
-    stmt = PlanStatement("select", "result", fin, StageKind.FINALIZE, None)
-    return StagePlan(
-        mode=mode,
-        stages={**{k: () for k in StageKind}, StageKind.FINALIZE: (stmt,)},
-        node_relations={},
-        output_projection=tuple(c.name for c in fin.output),
-        scope=None,
-        roots=(),
-        warnings=("query is statically empty (contradictory constants)",),
-    )

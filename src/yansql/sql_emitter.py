@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from .errors import YansqlError
 from .plan_builder import (BaseScan, Finalize, NaturalJoin, PlanStatement,
                            SemiJoin, StagePlan, ViewJoin)
+from .sql_frontend import sql_literal
 
 
 class EmitError(YansqlError):
@@ -67,12 +68,6 @@ def _quote(ident: str, dialect: Dialect) -> str:
     if dialect.name == "spark":
         return "`" + ident.replace("`", "``") + "`"
     return '"' + ident.replace('"', '""') + '"'
-
-
-def _literal(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return "'" + str(value).replace("'", "''") + "'"
 
 
 def _handle_columns(plan: StagePlan) -> dict:
@@ -123,7 +118,7 @@ class _Emitter:
             cols = "1 AS one"
         sql = f"SELECT {cols} FROM {_quote(body.relation, self.dialect)}"
         preds = [
-            f"{_quote(s.attr, self.dialect)}{s.comparator}{_literal(s.value)}"
+            f"{_quote(s.attr, self.dialect)}{s.comparator}{sql_literal(s.value)}"
             for s in body.selections
         ]
         preds.extend(
@@ -144,7 +139,7 @@ class _Emitter:
             sources.append(f"{_quote(scan.relation, self.dialect)} AS {alias}")
             for sel in scan.selections:
                 preds.append(f"{alias}.{_quote(sel.attr, self.dialect)}"
-                             f"{sel.comparator}{_literal(sel.value)}")
+                             f"{sel.comparator}{sql_literal(sel.value)}")
             for a, b in scan.attr_equalities:
                 preds.append(f"{alias}.{_quote(a, self.dialect)}"
                              f"={alias}.{_quote(b, self.dialect)}")
@@ -218,13 +213,6 @@ class _Emitter:
         return sql
 
     def finalize_select(self, fin: Finalize) -> str:
-        if fin.source is None:
-            cols = ", ".join(
-                "1 AS one" if c.kind == "one"
-                else f"NULL AS {_quote(c.name, self.dialect)}"
-                for c in fin.output
-            )
-            return f"SELECT {cols} WHERE FALSE"
         source = self.handle(fin.source)
         if fin.project_first and fin.distinct_input:
             inner_cols = ", ".join(_quote(v, self.dialect)
@@ -254,7 +242,7 @@ class _Emitter:
                 _quote(v, self.dialect) for v in fin.group_by)
         if fin.having is not None:
             sql += (f" HAVING {agg_sql(fin.having.call)}"
-                    f"{fin.having.comparator}{_literal(fin.having.value)}")
+                    f"{fin.having.comparator}{sql_literal(fin.having.value)}")
         return sql
 
     # -- driver ----------------------------------------------------------------

@@ -337,6 +337,15 @@ class _Parser:
         if not self.accept_op(op):
             self.fail(f"expected {op!r}")
 
+    def expect_comparator(self) -> str:
+        """One of COMPARATORS; `!=` reads as `<>`."""
+        tok = self.peek()
+        op = "<>" if tok.text == "!=" else tok.text
+        if tok.kind != "op" or op not in COMPARATORS:
+            self.fail("expected comparison operator")
+        self.advance()
+        return op
+
     def fail(self, message: str):
         tok = self.peek()
         if tok.kind == "ident" and tok.text in _REJECTED:
@@ -498,11 +507,7 @@ class _Parser:
     def parse_predicate(self):
         left = self.parse_operand()
         tok = self.peek()
-        if tok.kind != "op" or tok.text not in ("=", "<", "<=", ">", ">=", "<>", "!="):
-            self.fail("expected comparison operator")
-        op = self.advance().text
-        if op == "!=":
-            op = "<>"
+        op = self.expect_comparator()
         right = self.parse_operand()
         if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
             if op != "=":
@@ -541,11 +546,7 @@ class _Parser:
         if tok.kind == "ident" and tok.text in _AGGREGATE_NAMES:
             agg = self.parse_aggregate_call()
             optok = self.peek()
-            if optok.kind != "op" or optok.text not in ("=", "<", "<=", ">", ">=", "<>", "!="):
-                self.fail("expected comparison operator")
-            op = self.advance().text
-            if op == "!=":
-                op = "<>"
+            op = self.expect_comparator()
             value = self.parse_operand()
             if isinstance(value, ColumnRef):
                 raise UnsupportedFeature("HAVING against a column", optok.pos)
@@ -553,10 +554,7 @@ class _Parser:
             value = self.parse_operand()
             if isinstance(value, ColumnRef):
                 raise UnsupportedFeature("HAVING without aggregate", tok.pos)
-            optok = self.peek()
-            if optok.kind != "op" or optok.text not in ("=", "<", "<=", ">", ">=", "<>", "!="):
-                self.fail("expected comparison operator")
-            op = _flip(self.advance().text.replace("!=", "<>"))
+            op = _flip(self.expect_comparator())
             agg = self.parse_aggregate_call()
         if self.accept_keyword("and"):
             raise UnsupportedFeature("multiple HAVING conditions")
@@ -676,7 +674,8 @@ def extract_cq(pq: ParsedQuery) -> ConjunctiveQuery:
     )
 
     # Two incompatible equality constants on one variable class make the
-    # query statically empty; it is represented, not rejected.
+    # query statically empty.  `analyze` reports it; evaluation needs no
+    # special case, since the scans or the semi-joins come out empty.
     eq_values: dict = {}
     statically_empty = False
     for (alias, attr), op, value in const_conjuncts:
@@ -733,7 +732,8 @@ def extract_cq(pq: ParsedQuery) -> ConjunctiveQuery:
 # Canonical SQL rendering
 # ---------------------------------------------------------------------------
 
-def _render_value(value: Value) -> str:
+def sql_literal(value: Value) -> str:
+    """An integer as is, a string quoted with `''` escapes."""
     if isinstance(value, int):
         return str(value)
     return "'" + value.replace("'", "''") + "'"
@@ -781,7 +781,7 @@ def render_sql(cq: ConjunctiveQuery) -> str:
             conjuncts.append(f"{left} = {right}")
     for sel in cq.selections:
         conjuncts.append(
-            f"{sel.atom_id}.{sel.attr} {sel.comparator} {_render_value(sel.value)}")
+            f"{sel.atom_id}.{sel.attr} {sel.comparator} {sql_literal(sel.value)}")
     if conjuncts:
         parts.append(" WHERE " + " AND ".join(conjuncts))
     if cq.grouping_vars:
@@ -793,6 +793,6 @@ def render_sql(cq: ConjunctiveQuery) -> str:
         if call.distinct:
             inner = "DISTINCT " + inner
         parts.append(f" HAVING {call.func}({inner}) {cq.having.comparator} "
-                     f"{_render_value(cq.having.value)}")
+                     f"{sql_literal(cq.having.value)}")
     parts.append(";")
     return "".join(parts)

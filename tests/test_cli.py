@@ -364,7 +364,7 @@ def test_compare_short_circuit_flag(tmp_path, university_db):
     db["courses"] = Relation.from_rows(("cid", "faculty"), [("x", "Law")])
     write_db_csv(db, db_dir)
     code, text = run(["compare", str(sql), "--db", str(db_dir),
-                      "--short-circuit", "--stats"])
+                      "--stats"])
     assert code == 0
     assert "bag-equal: true" in text
     assert "skipped:" in text

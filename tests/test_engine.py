@@ -570,7 +570,7 @@ def test_eval_plan_partial_matches_naive(university_cq, university_db):
 
 def test_eval_plan_statically_empty():
     compiled = compile_sql("SELECT r.a FROM r WHERE r.a = 1 AND r.a = 2")
-    res = eval_plan(compiled.plan, {})
+    res = eval_plan(compiled.plan, {"r": Relation.from_rows(("a",), [(1,)])})
     assert res.relation.cardinality() == 0
     assert all(v == 0 for k, v in res.stats.statement_rows.items()
                if k != "result")
@@ -588,11 +588,11 @@ def test_eval_plan_short_circuit(university_cq, university_db):
     db = dict(university_db)
     db["courses"] = Relation.from_rows(("cid", "faculty"), [("x", "Law")])
     compiled = compile_cq(university_cq, mode="fullenum")
-    res = eval_plan(compiled.plan, db, short_circuit=True)
+    res = eval_plan(compiled.plan, db)
     assert res.relation.cardinality() == 0
     assert "SEMIJOIN_DOWN" in res.stats.skipped_stages
     assert "JOIN" in res.stats.skipped_stages
-    # without the flag the stages run and the result is identical
+    # a second run skips the same stages and gives the identical result
     full = eval_plan(compiled.plan, db)
     assert bag_equal(res.relation, full.relation)
 
@@ -603,7 +603,7 @@ def test_eval_plan_short_circuit_global_aggregate_keeps_null_row():
     compiled = compile_cq(cq, mode="fullenum")
     db = {"r": Relation.from_rows(("a", "k"), [(1, 5)]),
           "s": Relation(("k",))}
-    res = eval_plan(compiled.plan, db, short_circuit=True)
+    res = eval_plan(compiled.plan, db)
     assert res.relation.rows == {(None,): 1}
     assert bag_equal(res.relation, eval_naive(cq, db))
 

@@ -17,7 +17,8 @@ from yansql.sql_emitter import GENERIC, emit_plan
 from yansql.sql_frontend import (AggregateCall, extract_cq, parse_query,
                                  render_sql)
 from yansql.testing import (cq_from_hypergraph, random_acyclic_cq,
-                            random_cyclic_hypergraph, random_database)
+                            random_cyclic_hypergraph, random_database,
+                            sqlite_database, sqlite_rows)
 from conftest import EX1_SQL, UNIVERSITY_SQL, run_on_sqlite
 
 
@@ -341,25 +342,76 @@ def _comparable_rows(rows, schema, avg_columns):
     return sorted(rows, key=lambda row: [(v is not None, v or 0) for v in row])
 
 
+def _assert_rows_close(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert all(x == y or isinstance(x, float) and abs(x - y) <= 1e-6
+                   for x, y in zip(a, b)), (a, b)
+
+
+def _sqlite_original(sql: str, db) -> Counter:
+    """Result rows of the query text itself on in-memory sqlite3."""
+    con = sqlite_database(db)
+    try:
+        return Counter(sqlite_rows(con, [sql]))
+    finally:
+        con.close()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9),
-       st.sampled_from(["sum", "count", "avg", "minmax", "distinct"]))
-def test_aggregate_plans_agree_with_sqlite(seed, kind):
+       st.sampled_from(["sum", "count", "avg", "minmax", "distinct"]),
+       st.booleans())
+def test_aggregate_plans_agree_with_sqlite(seed, kind, grouped):
     rng = random.Random(seed)
     # one selection and a small domain, so that most results have rows
     cq = random_acyclic_cq(rng, max_atoms=5, max_selections=1, aggregate=kind)
+    if not grouped:  # a global aggregate: one row, also over an empty join
+        cq = replace(cq, output_vars=(), grouping_vars=())
     db = random_database(rng, cq, max_rows=20, domain=4)
     avg_columns = [c.column_name() for c in cq.aggregates if c.func == "AVG"]
+    original = list(_sqlite_original(render_sql(cq), db).elements())
     for mode in ("auto", "fullenum"):
         plan = compile_cq(cq, mode=mode).plan
         ours = eval_plan(plan, db).relation
         got = _comparable_rows(ours.expanded(), ours.schema, avg_columns)
-        expected = _comparable_rows(run_on_sqlite(plan, db).elements(),
-                                    ours.schema, avg_columns)
-        assert len(got) == len(expected)
-        for a, b in zip(got, expected):
-            assert all(x == y or isinstance(x, float) and abs(x - y) <= 1e-6
-                       for x, y in zip(a, b)), (a, b)
+        for rows in (run_on_sqlite(plan, db).elements(), original):
+            _assert_rows_close(
+                got, _comparable_rows(rows, ours.schema, avg_columns))
+
+
+_JOINING_DB = {"r": Relation.from_rows(("a", "k"), [(1, 1), (2, 2)]),
+               "s": Relation.from_rows(("b", "k"), [(3, 1), (4, 2)])}
+# what empties the join: (extra WHERE conjuncts, database)
+_EMPTY_JOINS = {
+    "one_attribute": (" AND r.a = 1 AND r.a = 2", _JOINING_DB),
+    "one_variable": (" AND r.k = 1 AND s.k = 2", _JOINING_DB),
+    "data": ("", {**_JOINING_DB,
+                  "s": Relation.from_rows(("b", "k"), [(3, 5)])}),
+}
+
+
+@pytest.mark.parametrize("empty_by", list(_EMPTY_JOINS))
+@pytest.mark.parametrize("select, having", [
+    ("COUNT(r.a)", ""),
+    ("SUM(r.a)", ""),
+    ("AVG(r.a)", ""),
+    ("MIN(r.a), MAX(s.b)", ""),
+    ("COUNT(r.a)", " HAVING COUNT(r.a) = 0"),
+    ("1", ""),
+    ("r.a, s.b", ""),
+])
+def test_empty_join_answers_agree_with_sqlite(select, having, empty_by):
+    # an empty join, whether contradictory constants or the data empty it,
+    # gives what SQL gives: one row for a global aggregate, none otherwise
+    where, db = _EMPTY_JOINS[empty_by]
+    sql = f"SELECT {select} FROM r, s WHERE r.k = s.k{where}{having}"
+    expected = _sqlite_original(sql, db)
+    assert eval_naive(extract_cq(parse_query(sql)), db).rows == expected
+    for mode in ("auto", "fullenum"):
+        plan = compile_sql(sql, mode=mode).plan
+        assert eval_plan(plan, db).relation.rows == expected
+        assert run_on_sqlite(plan, db) == expected
 
 
 def _assert_semijoin_forms_agree(plan, cq, db):

@@ -241,17 +241,6 @@ def test_empty_tree_rejected(ex1_cq):
         build_plan([], form, Mode.FULL_ENUM)
 
 
-def test_statically_empty_plan():
-    cq = extract_cq(parse_query(
-        "SELECT r.a FROM r WHERE r.a = 1 AND r.a = 2"))
-    form = normalize_aggregation(cq)
-    plan = build_plan([], form, Mode.FULL_ENUM)
-    assert plan.statements()[0].stage is StageKind.FINALIZE
-    assert len(plan.statements()) == 1
-    assert plan.output_projection == ("a",)
-    assert plan.warnings
-
-
 def test_early_projection_drops_group_only_vars():
     # variable z lives only below the group boundary and is dropped by the
     # group join projection

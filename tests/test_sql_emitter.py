@@ -151,14 +151,6 @@ def test_forced_rowin_fails_on_generic_multicolumn():
         assert "EXISTS (SELECT 1 FROM courses_setup" in default
 
 
-def test_statically_empty_renders_where_false():
-    from yansql.pipeline import compile_sql
-
-    compiled = compile_sql("SELECT r.a FROM r WHERE r.a = 1 AND r.a = 2")
-    (stmt,) = emit_plan(compiled.plan, POSTGRES)
-    assert stmt == "SELECT NULL AS a WHERE FALSE"
-
-
 def test_zeroma_emission_has_distinct_subquery(ex1_cq):
     from yansql.pipeline import compile_cq
 
