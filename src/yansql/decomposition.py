@@ -1,13 +1,16 @@
 """Join-tree construction (Flat-GYO), validation, and GHDs for cyclic queries.
 
 Flat-GYO layers the classical GYO reduction so that each while-iteration
-absorbs every edge that is a subset of some maximal edge.  The resulting
-join tree has minimum depth over all join trees of the hypergraph;
-`min_depth_oracle` verifies this independently by enumerating all labeled
-trees.  Cyclic hypergraphs go through det-k-decomp, a memoised search for
-hypertree decompositions of bounded width (bag = vars(cover) & (component
-| connector), plus a node for each atom that no cover holds), which
-convert back to join trees over set-valued view nodes, one leaf per atom.
+absorbs every edge that is a subset of some maximal edge; it works on
+vertex bitmasks.  The resulting join tree has minimum depth over all join
+trees of the hypergraph; `min_depth_oracle` verifies this independently
+over all labeled trees, kept per edge count as one bitset per edge subset
+(bit t: the subset is connected in tree t, trees ordered by minimum
+depth), so a check ANDs one bitset per variable.  Cyclic hypergraphs go
+through det-k-decomp, a memoised search for hypertree decompositions of
+bounded width (bag = vars(cover) & (component | connector), plus a node
+for each atom that no cover holds), which convert back to join trees over
+set-valued view nodes, one leaf per atom.
 """
 
 from __future__ import annotations
@@ -143,33 +146,18 @@ class CyclicReport:
     residual: Hypergraph
 
 
-def _connected_in_tree(tree: JoinTree, nodes: frozenset) -> bool:
-    if len(nodes) <= 1:
-        return True
-    adj: dict = {u: set() for u in nodes}
-    for child, par in tree.parent.items():
-        if child in nodes and par in nodes:
-            adj[child].add(par)
-            adj[par].add(child)
-    start = next(iter(nodes))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen == set(nodes)
-
-
 def connectedness_holds(tree: JoinTree) -> bool:
-    """Each variable's occurrence set must form a connected subtree."""
-    occurrences: dict = {}
-    for node, vs in tree.attrs.items():
-        for v in vs:
-            occurrences.setdefault(v, set()).add(node)
-    return all(_connected_in_tree(tree, frozenset(nodes))
-               for nodes in occurrences.values())
+    """Each variable's occurrence set must form a connected subtree.
+
+    `tree.parent` must link the nodes into a rooted tree.  Then each
+    connected part of an occurrence set has exactly one node whose parent
+    lacks the variable (the root lacks a parent), so the condition holds
+    iff no variable is new at two nodes.
+    """
+    attrs, parent = tree.attrs, tree.parent
+    new = [v for node, vs in attrs.items()
+           for v in vs - attrs.get(parent.get(node), frozenset())]
+    return len(new) == len(set(new))
 
 
 def _is_rooted_tree(root: str, parent: dict, nodes: set) -> bool:
@@ -208,40 +196,69 @@ def flat_gyo(h: Hypergraph):
     Per while-iteration: all degree-1 vertices are deleted globally, then
     maximal edges are processed in lexicographic label order and absorb each
     remaining edge that is a (non-strict) subset of them, children attaching
-    in lexicographic order.
+    in lexicographic order.  Edges are vertex bitmasks throughout.
     """
     if not h.edges:
         raise DisconnectedInput("empty hypergraph")
-    if not is_connected(h):
+    bits: dict = {}  # vertex -> its bit
+    edges: dict = {}  # label -> vertex bitmask
+    for label, vs in h.edges.items():
+        edges[label] = 0
+        for v in vs:
+            edges[label] |= bits.setdefault(v, 1 << len(bits))
+    if not _masks_connected(list(edges.values())):
         raise DisconnectedInput("hypergraph is not connected")
-    edges = dict(h.edges)
     parent: dict = {}
     while len(edges) > 1:
-        degree = Counter(v for vs in edges.values() for v in vs)
-        lonely = {v for v, n in degree.items() if n == 1}
+        once = twice = 0
+        for vs in edges.values():
+            twice |= once & vs
+            once |= vs
+        lonely = once & ~twice
         if lonely:
-            edges = {label: vs - lonely for label, vs in edges.items()}
-        maximal = [e for e in sorted(edges)
-                   if not any(f != e and edges[e] < edges[f] for f in edges)]
+            edges = {label: vs & ~lonely for label, vs in edges.items()}
+        # a strict superset has more bits, and a subset of a non-maximal
+        # edge is a subset of the maximal edge above that one
+        tops: list = []
+        for vs in sorted(set(edges.values()), key=int.bit_count, reverse=True):
+            if all(vs | top != top for top in tops):
+                tops.append(vs)
+        maximal = [e for e, vs in edges.items() if vs in tops]
         absorbed = False
         for e in maximal:
             if e not in edges:
                 continue  # equal-set edge already absorbed this round
-            for c in sorted(edges):
-                if c != e and edges[c] <= edges[e]:
-                    parent[c] = e
-                    del edges[c]
-                    absorbed = True
-        if not absorbed and not lonely:
-            return CyclicReport(Hypergraph(edges))
-    root = next(iter(edges))
-    nodes = set(parent) | {root}
+            top = edges[e]
+            for c in [c for c, vs in edges.items() if c != e and vs | top == top]:
+                parent[c] = e
+                del edges[c]
+                absorbed = True
+        if not absorbed:  # deleting lonely vertices makes no new ones
+            return CyclicReport(Hypergraph({
+                label: [v for v, bit in bits.items() if vs & bit]
+                for label, vs in edges.items()}))
     return JoinTree(
-        root=root,
+        root=next(iter(edges)),
         parent=parent,
-        labels={n: base_atom(n) for n in nodes},
-        attrs={n: h.edges[n] for n in nodes},
+        labels={n: base_atom(n) for n in h.edges},
+        attrs=dict(h.edges),
     )
+
+
+def _masks_connected(masks: list) -> bool:
+    """True iff the edges (vertex bitmasks) form one intersection component."""
+    reached, left = masks[0], masks[1:]
+    while left:
+        rest = []
+        for vs in left:
+            if vs & reached:
+                reached |= vs
+            else:
+                rest.append(vs)
+        if len(rest) == len(left):
+            return False
+        left = rest
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -274,70 +291,85 @@ def _prufer_trees(n: int):
         yield edges
 
 
+def _min_depth(n: int, edges: list) -> int:
+    """A tree's minimum height over root choices: its radius, which is
+    half its diameter rounded up."""
+    adj: list = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+
+    def farthest(src: int):
+        dist = {src: 0}
+        order = [src]
+        for u in order:  # grows while it is walked: breadth-first
+            for nxt in adj[u]:
+                if nxt not in dist:
+                    dist[nxt] = dist[u] + 1
+                    order.append(nxt)
+        return order[-1], dist[order[-1]]
+
+    end, _ = farthest(0)
+    return (farthest(end)[1] + 1) // 2
+
+
 @lru_cache(maxsize=8)
 def _tree_tables(n: int):
-    """Per labeled tree on n nodes: (connected-subset table, min depth).
+    """Connected-subset bitsets over every labeled tree on n nodes.
 
-    The table maps a bitmask of nodes to whether that node set is connected
-    in the tree; min depth is taken over all root choices.
+    Returns (connected, depths).  Trees t = 0, 1, .. go by minimum depth
+    over root choices, depths[t], then in Pruefer order.  Bit t of
+    connected[mask] says the node set `mask` is connected in tree t.  A
+    set of two or more nodes is connected iff, for some node x in it, the
+    set without x is connected and x has a tree neighbour in it (x a leaf
+    of the subtree), so the table fills from smaller masks.
     """
-    tables = []
-    for edges in _prufer_trees(n):
-        adj = [[] for _ in range(n)]
+    trees = [(_min_depth(n, edges), edges) for edges in _prufer_trees(n)]
+    trees.sort(key=lambda tree: tree[0])
+    size = len(trees)
+    near = [[bytearray(size // 8 + 1) for _ in range(n)] for _ in range(n)]
+    for t, (_, edges) in enumerate(trees):
         for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        conn = [False] * (1 << n)
-        for mask in range(1, 1 << n):
-            start = (mask & -mask).bit_length() - 1
-            seen = 1 << start
-            stack = [start]
-            while stack:
-                for nxt in adj[stack.pop()]:
-                    bit = 1 << nxt
-                    if mask & bit and not seen & bit:
-                        seen |= bit
-                        stack.append(nxt)
-            conn[mask] = seen == mask
-        best = n
-        for root in range(n):
-            depth = [0] * n
-            order = [root]
-            seen_nodes = {root}
-            height = 0
-            while order:
-                u = order.pop()
-                height = max(height, depth[u])
-                for nxt in adj[u]:
-                    if nxt not in seen_nodes:
-                        seen_nodes.add(nxt)
-                        depth[nxt] = depth[u] + 1
-                        order.append(nxt)
-            best = min(best, height)
-        tables.append((conn, best))
-    return tables
+            near[a][b][t >> 3] |= 1 << (t & 7)
+            near[b][a][t >> 3] |= 1 << (t & 7)
+    near = [[int.from_bytes(row, "little") for row in rows] for rows in near]
+    connected = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        if mask & (mask - 1) == 0:
+            connected[mask] = (1 << size) - 1  # every tree
+            continue
+        members = [x for x in range(n) if mask >> x & 1]
+        for x in members:
+            rest = mask ^ (1 << x)
+            touch = 0
+            for y in members:
+                touch |= near[x][y]  # near[x][x] is empty
+            connected[mask] |= connected[rest] & touch
+    return connected, tuple(depth for depth, _ in trees)
 
 
 def min_depth_oracle(h: Hypergraph) -> int:
-    """Brute-force minimum join-tree depth by enumerating all labeled trees."""
+    """Brute-force minimum join-tree depth over all labeled trees.
+
+    A tree is a join tree iff each variable's occurrence mask is connected
+    in it, so AND-ing those masks' tree bitsets leaves the join trees, and
+    the lowest surviving bit is one of minimum depth.
+    """
     labels = sorted(h.edges)
     n = len(labels)
     if n > _ORACLE_MAX_EDGES:
         raise TooLarge(f"oracle limited to {_ORACLE_MAX_EDGES} edges, got {n}")
-    if n == 1:
-        return 0
     occurrences: dict = {}
     for i, label in enumerate(labels):
         for v in h.edges[label]:
             occurrences[v] = occurrences.get(v, 0) | (1 << i)
-    var_masks = list(occurrences.values())
-    best = None
-    for conn, depth in _tree_tables(n):
-        if all(conn[mask] for mask in var_masks):
-            best = depth if best is None else min(best, depth)
-    if best is None:
+    connected, depths = _tree_tables(n)
+    alive = connected[-1]  # every tree
+    for mask in set(occurrences.values()):
+        alive &= connected[mask]
+    if not alive:
         raise NoJoinTree("hypergraph has no join tree (cyclic)")
-    return best
+    return depths[(alive & -alive).bit_length() - 1]
 
 
 # ---------------------------------------------------------------------------

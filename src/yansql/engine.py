@@ -484,11 +484,12 @@ def _finalize_relation(rel: Relation, fin: Finalize) -> Relation:
 
 @dataclass
 class NaiveStats:
-    step_rows: tuple = ()
+    step_rows: tuple = ()  # the join after each atom
+    finalize_rows: int = 0  # the result, counted as the plan's FINALIZE is
 
     @property
     def max_intermediate(self) -> int:
-        return max(self.step_rows, default=0)
+        return max(self.step_rows + (self.finalize_rows,))
 
 
 def _naive_join_all(cq: ConjunctiveQuery, db: Mapping[str, Relation]):
@@ -514,7 +515,8 @@ def eval_naive(cq: ConjunctiveQuery, db: Mapping[str, Relation]) -> Relation:
 def eval_naive_traced(cq: ConjunctiveQuery, db: Mapping[str, Relation]):
     fin = finalize_spec(normalize_aggregation(cq), "naive", Mode.FULL_ENUM)
     joined, steps = _naive_join_all(cq, db)
-    return _finalize_relation(joined, fin), NaiveStats(tuple(steps))
+    result = _finalize_relation(joined, fin)
+    return result, NaiveStats(tuple(steps), result.cardinality())
 
 
 # ---------------------------------------------------------------------------

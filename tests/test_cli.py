@@ -157,6 +157,19 @@ def test_compare_university(tmp_path, university_db):
     assert naive >= plan
 
 
+def test_compare_maxima_both_count_the_result(tmp_path):
+    # the join is empty, so the one-row global aggregate is the largest
+    # relation on both sides
+    sql = tmp_path / "q.sql"
+    sql.write_text("SELECT COUNT(r.a) FROM r WHERE r.a = 1 AND r.a = 2",
+                   encoding="utf-8")
+    (tmp_path / "r.csv").write_text("a\n1\n2\n", encoding="utf-8")
+    code, text = run(["compare", str(sql), "--db", str(tmp_path)])
+    assert code == 0
+    assert "naive max intermediate: 1\n" in text
+    assert "plan max intermediate: 1\n" in text
+
+
 def test_ghd_width1_triangle_fails(tmp_path):
     sql = tmp_path / "tri.sql"
     sql.write_text(TRIANGLE_SQL, encoding="utf-8")

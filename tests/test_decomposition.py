@@ -1,13 +1,16 @@
 import itertools
 import random
+from collections import Counter
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yansql.decomposition import (CyclicReport, DisconnectedInput,
                                   GHDecomposition, InvalidGHD, JoinTree,
-                                  NoJoinTree, TooLarge, base_atom,
+                                  NoJoinTree, TooLarge, _prufer_trees,
+                                  base_atom,
                                   connectedness_holds, enumerate_ghds,
                                   find_ghd, flat_gyo, ghd_from_json,
                                   ghd_to_join_tree, ghd_to_json,
@@ -232,6 +235,222 @@ def test_flat_gyo_agrees_with_fixpoint(seed):
     verdict = gyo_fixpoint_acyclic(h, random.Random(seed + 1))
     result = flat_gyo(h)
     assert isinstance(result, JoinTree) == verdict
+
+
+# ---------------------------------------------------------------------------
+# Bitmask Flat-GYO, connectedness and oracle against set-based references
+# ---------------------------------------------------------------------------
+
+def _flat_gyo_on_sets(h):
+    """The set-based Flat-GYO, kept as the reference for the bitmask one."""
+    if not h.edges:
+        raise DisconnectedInput("empty hypergraph")
+    if not is_connected(h):
+        raise DisconnectedInput("hypergraph is not connected")
+    edges = dict(h.edges)
+    parent = {}
+    while len(edges) > 1:
+        degree = Counter(v for vs in edges.values() for v in vs)
+        lonely = {v for v, n in degree.items() if n == 1}
+        if lonely:
+            edges = {label: vs - lonely for label, vs in edges.items()}
+        maximal = [e for e in sorted(edges)
+                   if not any(f != e and edges[e] < edges[f] for f in edges)]
+        absorbed = False
+        for e in maximal:
+            if e not in edges:
+                continue
+            for c in sorted(edges):
+                if c != e and edges[c] <= edges[e]:
+                    parent[c] = e
+                    del edges[c]
+                    absorbed = True
+        if not absorbed and not lonely:
+            return CyclicReport(Hypergraph(edges))
+    root = next(iter(edges))
+    nodes = set(parent) | {root}
+    return JoinTree(root, parent, {n: base_atom(n) for n in nodes},
+                    {n: h.edges[n] for n in nodes})
+
+
+def _gyo_outcome(gyo, h):
+    try:
+        got = gyo(h)
+    except DisconnectedInput:
+        return "disconnected"
+    if isinstance(got, CyclicReport):
+        return "cyclic", got.residual.edges
+    return got.root, got.parent, got.labels, got.attrs
+
+
+_NAMES = st.sampled_from([0, 1, 2, 3, "0", "a", "b", "c"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.frozensets(_NAMES, max_size=5), min_size=1, max_size=8))
+@example([frozenset({0, "a"}), frozenset({"a", 1}), frozenset({1, "0"})])
+@example([frozenset({0, "a"}), frozenset({0, "a"}), frozenset({"a"})])
+@example([frozenset({0, "a"}), frozenset()])
+@example([frozenset()])
+@example([frozenset({0, 1}), frozenset({"0", "1"})])
+@example([frozenset({0, "a"}), frozenset({"a", 1}), frozenset({1, 0})])
+def test_flat_gyo_matches_set_reference(edge_sets):
+    # int and str names in one hypergraph, equal edges, an edge with no
+    # vertices and disconnected inputs
+    h = Hypergraph({f"e{i}": vs for i, vs in enumerate(edge_sets)})
+    assert _gyo_outcome(flat_gyo, h) == _gyo_outcome(_flat_gyo_on_sets, h)
+
+
+def _connectedness_by_search(tree):
+    """Search each variable's occurrence set; reference for the new-at-node
+    count of `connectedness_holds`."""
+    occurrences = {}
+    for node, vs in tree.attrs.items():
+        for v in vs:
+            occurrences.setdefault(v, set()).add(node)
+    for nodes in occurrences.values():
+        start = next(iter(nodes))
+        seen, stack = {start}, [start]
+        while stack:
+            u = stack.pop()
+            near = {tree.parent.get(u)} | {c for c, p in tree.parent.items()
+                                           if p == u}
+            for nxt in near & nodes - seen:
+                seen.add(nxt)
+                stack.append(nxt)
+        if seen != nodes:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_connectedness_matches_search_reference(seed, subtrees_only):
+    rng = random.Random(seed)
+    nodes = [f"n{i}" for i in range(rng.randint(1, 8))]
+    parent = {u: rng.choice(nodes[:i]) for i, u in enumerate(nodes) if i}
+    attrs = {u: set() for u in nodes}
+    for v in rng.sample([0, 1, 2, "0", "x", "y"], rng.randint(0, 6)):
+        if subtrees_only or rng.random() < 0.5:
+            held = {rng.choice(nodes)}
+            for _ in range(rng.randrange(len(nodes))):
+                near = [u for u in nodes if u not in held and (
+                    parent.get(u) in held
+                    or any(parent.get(w) == u for w in held))]
+                held.add(rng.choice(near))
+        else:
+            held = rng.sample(nodes, rng.randint(1, len(nodes)))
+        for u in held:
+            attrs[u].add(v)
+    tree = JoinTree(nodes[0], parent, {u: base_atom(u) for u in nodes},
+                    {u: frozenset(vs) for u, vs in attrs.items()})
+    tree = tree.rerooted(rng.choice(nodes))
+    verdict = _connectedness_by_search(tree)
+    assert connectedness_holds(tree) == verdict
+    if subtrees_only:
+        assert verdict
+
+
+@lru_cache(maxsize=None)
+def _per_tree_tables(n):
+    """Per labeled tree: (connected-subset table, min depth over roots)."""
+    tables = []
+    for edges in _prufer_trees(n):
+        adj = [[] for _ in range(n)]
+        for a, b in edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        conn = [False] * (1 << n)
+        for mask in range(1, 1 << n):
+            start = (mask & -mask).bit_length() - 1
+            seen, stack = 1 << start, [start]
+            while stack:
+                for nxt in adj[stack.pop()]:
+                    if mask >> nxt & 1 and not seen >> nxt & 1:
+                        seen |= 1 << nxt
+                        stack.append(nxt)
+            conn[mask] = seen == mask
+        best = n
+        for root in range(n):
+            depth, order = {root: 0}, [root]
+            for u in order:
+                for nxt in adj[u]:
+                    if nxt not in depth:
+                        depth[nxt] = depth[u] + 1
+                        order.append(nxt)
+            best = min(best, max(depth.values()))
+        tables.append((conn, best))
+    return tables
+
+
+def _depth_by_tree_scan(h):
+    """The per-tree scan the bitset oracle replaced, kept as its reference;
+    "cyclic" when no labeled tree is a join tree."""
+    labels = sorted(h.edges)
+    if len(labels) == 1:
+        return 0
+    occurrences = {}
+    for i, label in enumerate(labels):
+        for v in h.edges[label]:
+            occurrences[v] = occurrences.get(v, 0) | (1 << i)
+    depths = [depth for conn, depth in _per_tree_tables(len(labels))
+              if all(conn[mask] for mask in occurrences.values())]
+    return min(depths, default="cyclic")
+
+
+def _oracle_outcome(h):
+    try:
+        return min_depth_oracle(h)
+    except NoJoinTree:
+        return "cyclic"
+
+
+def _from_masks(masks, width):
+    return Hypergraph({f"e{i}": frozenset(b for b in range(width) if m >> b & 1)
+                       for i, m in enumerate(masks)})
+
+
+def test_oracle_matches_tree_scan_on_all_small_hypergraphs():
+    # every connected hypergraph of at most 4 distinct edges over 4 vertices
+    seen = Counter()
+    for k in range(1, 5):
+        for masks in itertools.combinations(range(1, 16), k):
+            h = _from_masks(masks, 4)
+            if not is_connected(h):
+                continue
+            want = _depth_by_tree_scan(h)
+            assert (want != "cyclic") == gyo_fixpoint_acyclic(h)
+            assert _oracle_outcome(h) == want
+            seen[want] += 1
+    assert seen["cyclic"] and seen[0] and seen[1] and seen[2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([5, 6]), st.booleans())
+def test_oracle_matches_tree_scan_5_6_edges(seed, k, acyclic):
+    rng = random.Random(seed)
+    if acyclic:
+        h = random_acyclic_hypergraph(rng, k)
+    else:
+        h = Hypergraph({f"e{i}": frozenset(rng.sample(range(6), rng.randint(1, 4)))
+                        for i in range(k)})
+    assert _oracle_outcome(h) == _depth_by_tree_scan(h)
+
+
+def test_flat_gyo_depth_matches_oracle_on_all_small_hypergraphs():
+    # every connected acyclic hypergraph of at most 3 distinct edges over
+    # 6 vertices: criterion 5's family cut at 3 edges, for quick runs
+    checked = 0
+    for k in range(1, 4):
+        for masks in itertools.combinations(range(1, 64), k):
+            h = _from_masks(masks, 6)
+            if not (is_connected(h) and gyo_fixpoint_acyclic(h)):
+                continue
+            tree = flat_gyo(h)
+            assert isinstance(tree, JoinTree) and is_valid_join_tree(h, tree)
+            assert tree.depth() == min_depth_oracle(h)
+            checked += 1
+    assert checked == 31_706  # 63 + 1,652 + 29,991
 
 
 # ---------------------------------------------------------------------------
