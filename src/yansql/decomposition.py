@@ -106,7 +106,18 @@ class JoinTree:
         return [u for u, _ in self._walk()]
 
     def depth(self) -> int:
-        return max(d for _, d in self._walk())
+        """Edges on the longest path from the root down to a node."""
+        depths = {self.root: 0}
+        for node in self.parent:
+            path = []
+            while node not in depths:  # climb to a node of known depth
+                path.append(node)
+                node = self.parent[node]
+            d = depths[node]
+            for node in reversed(path):
+                d += 1
+                depths[node] = d
+        return max(depths.values())
 
     def path(self, a: str, b: str) -> list:
         """Nodes on the path from a to b, inclusive."""

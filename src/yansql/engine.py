@@ -11,6 +11,11 @@ has the same rows.  Row arity is validated only where rows enter from
 outside, in `Relation.from_rows` and `load_csv`; every operator builds rows
 of its schema's width by construction.
 
+`load_csv` streams a file into a bag of text rows, and types each distinct
+row once, only if some field is empty or starts with '-' or a digit: a file
+of text fields alone is never typed.  The values are those that typing every
+field of every line on its own would give.
+
 `eval_naive` is the brute-force oracle: selections, pairwise joins in
 declaration order without any reordering, projection, grouping.  `eval_plan`
 interprets the staged plan IR; both scan base relations with `scan` and
@@ -27,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Mapping, Optional
 
 from .classification import normalize_aggregation
@@ -196,41 +201,80 @@ def _parse_value(text: str):
     return text or None
 
 
-def _parsed_rows(path, reader, width: int):
+def _text_bag(path, reader, width: int) -> Optional[Counter]:
+    """The rows as a bag of text tuples, read in one pass, or None if
+    reading them fails or one of them has the wrong width."""
+    try:
+        rows = Counter(map(tuple, reader))
+    except (csv.Error, UnicodeDecodeError):
+        return None
+    if () in rows:  # blank lines: one empty field each
+        if width != 1:
+            return None
+        rows[("",)] += rows.pop(())
+    return rows if {width}.issuperset(map(len, rows)) else None
+
+
+def _first_fault(path, reader, width: int):
+    """Read the rows one at a time and raise at the first fault."""
     for lineno, raw in enumerate(reader, start=2):
-        if not raw:
-            raw = [""]  # blank line: one empty field
-        if len(raw) != width:
+        fields = len(raw) or 1  # a blank line is one empty field
+        if fields != width:
             raise ArityMismatch(
-                f"{path}:{lineno}: expected {width} fields, got {len(raw)}")
-        yield tuple(map(_parse_value, raw))
+                f"{path}:{lineno}: expected {width} fields, got {fields}")
+    raise IoError(f"{path}: changed while being read")
 
 
-def load_csv(path, declared_schema=None) -> Relation:
-    """First row is the header; fields of ASCII digits, with an optional
-    leading '-', parse as integers, empty fields as null; duplicate rows
-    increase multiplicity."""
+def _read_csv(path, declared_schema, rows_of):
+    """The schema from the header of the CSV file at `path` and what
+    `rows_of(path, reader, width)` makes of the rows after it."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise IoError(f"{path}: missing header row") from None
+            header = next(reader, None)
+            if header is None:
+                raise IoError(f"{path}: missing header row")
             schema = tuple(col.strip().lower() for col in header)
             if declared_schema is not None \
                     and tuple(declared_schema) != schema:
                 raise SchemaMismatch(
                     f"{path}: header {schema!r} does not match declared "
                     f"{tuple(declared_schema)!r}")
-            rows = Counter(_parsed_rows(path, reader, len(schema)))
+            return schema, rows_of(path, reader, len(schema))
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise IoError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except csv.Error as exc:  # such as a field over csv.field_size_limit()
         raise IoError(f"{path}:{reader.line_num}: {exc}") from exc
-    return Relation(schema, rows)
+
+
+def _typed(rows: Counter) -> Counter:
+    """`rows` with every field typed by `_parse_value`.  Only an empty
+    field or one that starts with '-' or a digit changes, and every such
+    field sorts below ':', so a file without one is returned as it is."""
+    if min(chain.from_iterable(rows), default=":") >= ":":
+        return rows
+    typed = Counter()
+    for row, count in rows.items():
+        row = tuple(map(_parse_value, row))
+        typed[row] = typed.get(row, 0) + count  # 1 and 01 give one row
+    return typed
+
+
+def load_csv(path, declared_schema=None) -> Relation:
+    """First row is the header; fields of ASCII digits, with an optional
+    leading '-', parse as integers, empty fields as null; duplicate rows
+    increase multiplicity.
+
+    The file streams into a bag of text rows in one pass, and its
+    distinct rows are typed only if one of their fields may change.  A
+    file with a fault is read a second time, row by row, to report its
+    first fault."""
+    schema, rows = _read_csv(path, declared_schema, _text_bag)
+    if rows is None:  # raises
+        _read_csv(path, declared_schema, _first_fault)
+    return Relation(schema, _typed(rows))
 
 
 def write_csv(rel: Relation, path):

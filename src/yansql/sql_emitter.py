@@ -236,6 +236,14 @@ class _Emitter:
         if not cols:
             cols = ["1 AS one"]
         distinct = "DISTINCT " if fin.distinct_output else ""
+        if fin.having is not None and not fin.group_by \
+                and all(c.kind != "agg" for c in fin.output):
+            # HAVING needs an aggregate query: aggregate in a subquery and
+            # filter its one row outside it
+            return (f"SELECT {distinct}{', '.join(cols)} FROM (SELECT "
+                    f"{agg_sql(fin.having.call)} AS having_value FROM {source})"
+                    f" AS grouped WHERE having_value{fin.having.comparator}"
+                    f"{sql_literal(fin.having.value)}")
         sql = f"SELECT {distinct}{', '.join(cols)} FROM {source}"
         if fin.group_by:
             sql += " GROUP BY " + ", ".join(

@@ -174,6 +174,24 @@ def test_oracle_long_chain_needs_depth():
     assert tree.depth() == 2
 
 
+@st.composite
+def rooted_trees(draw) -> JoinTree:
+    """Any rooted tree on up to 12 nodes, with labels in random order."""
+    names = draw(st.permutations([f"n{i:02d}" for i in range(
+        draw(st.integers(1, 12)))]))
+    parent = {name: names[draw(st.integers(0, i - 1))]
+              for i, name in enumerate(names) if i}
+    return JoinTree(names[0], parent,
+                    {name: base_atom(name) for name in names},
+                    {name: frozenset() for name in names})
+
+
+@settings(max_examples=300, deadline=None)
+@given(rooted_trees())
+def test_depth_is_the_deepest_node_of_the_preorder_walk(tree):
+    assert tree.depth() == max(d for _, d in tree._walk())
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**9))
 def test_oracle_matches_literal_tree_enumeration(seed):

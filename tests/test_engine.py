@@ -1,4 +1,5 @@
 import copy
+import csv
 import operator
 import random
 from collections import Counter
@@ -89,6 +90,101 @@ def test_csv_roundtrip(tmp_path):
     p = tmp_path / "out.csv"
     write_csv(rel, p)
     assert load_csv(p) == rel
+
+
+def _reference_parse_value(text: str):
+    if text.isdigit() or text[:1] == "-" and text[1:].isdigit():
+        if text.isascii():
+            try:
+                return int(text)
+            except ValueError:
+                pass
+    return text or None
+
+
+def _reference_parsed_rows(path, reader, width: int):
+    for lineno, raw in enumerate(reader, start=2):
+        if not raw:
+            raw = [""]
+        if len(raw) != width:
+            raise ArityMismatch(
+                f"{path}:{lineno}: expected {width} fields, got {len(raw)}")
+        yield tuple(map(_reference_parse_value, raw))
+
+
+def _reference_load_csv(path) -> Relation:
+    """The loader that typed every field as it streamed the rows."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise IoError(f"{path}: missing header row") from None
+            schema = tuple(col.strip().lower() for col in header)
+            rows = Counter(_reference_parsed_rows(path, reader, len(schema)))
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IoError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    except csv.Error as exc:
+        raise IoError(f"{path}:{reader.line_num}: {exc}") from exc
+    return Relation(schema, rows)
+
+
+_TOO_LONG = b"x" * (csv.field_size_limit() + 1)
+# raw field texts: ones that type as integers, collapse to one value (7 and
+# 007, 0 and -0), stay text (int() takes the Arabic-Indic digit, the loader
+# must not), hold the delimiter or a line break in quotes, or are longer
+# than csv.field_size_limit()
+_FIELDS = ["", "-", "-0", "0", "-5", "7", "007", "+5", "\u00b2", "-\u00b2",
+           "\u0663", "5" * 5000, "x y", "-a", "x", '"a,b"', '"1\n2"',
+           '"3\r\n"', '"12"', '""', '"-"', _TOO_LONG.decode()]
+_ENDINGS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def csv_files(draw) -> bytes:
+    """A header of 1-3 columns, then rows drawn from a few of `_FIELDS`,
+    now and then a blank line or one of the wrong width."""
+    width = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.sampled_from(_FIELDS), min_size=1, max_size=4))
+    lines = [",".join("abc"[:width])]
+    for _ in range(draw(st.integers(0, 8))):
+        fields = draw(st.sampled_from([width] * 12 + [0, width + 1]))
+        lines.append(",".join(draw(st.lists(
+            st.sampled_from(pool), min_size=fields, max_size=fields))))
+    text = "".join(line + draw(st.sampled_from(_ENDINGS)) for line in lines)
+    text = text + draw(st.sampled_from(["", "", ",", "1,", '"open']))
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:  # an undecodable byte somewhere
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _outcome(load, path):
+    try:
+        rel = load(path)
+    except Exception as exc:  # the class and message must agree
+        return type(exc), str(exc)
+    typed = {row: tuple(map(type, row)) for row in rel.rows}
+    return rel.schema, rel.rows, typed
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_files())
+@example(b"a\n7\n007\n-0\n0\n")  # two texts, one value
+@example(b'a\n""\n\n\r\n')  # a blank line is an empty field
+@example(b"a\n7\n" + b"5" * 5000 + b"\n")  # too long for int()
+@example("a\n7\n\u0663\n".encode())  # int() takes a non-ASCII digit
+@example(b"a,b\n\n1,2\n")  # a blank line is one field
+@example(b"a,b\n1\n1," + _TOO_LONG + b"\n")  # the first fault wins
+@example(b"a,b\n1\n1," + b"x" * 9000 + b"\xff\n")  # in a later chunk
+def test_load_csv_agrees_with_field_by_field_typing(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("differential") / "r.csv"
+    path.write_bytes(data)
+    assert _outcome(load_csv, path) == _outcome(_reference_load_csv, path)
 
 
 # ---------------------------------------------------------------------------

@@ -414,6 +414,21 @@ def test_empty_join_answers_agree_with_sqlite(select, having, empty_by):
         assert run_on_sqlite(plan, db) == expected
 
 
+@pytest.mark.parametrize("joined_by", [*_EMPTY_JOINS, "nothing"])
+@pytest.mark.parametrize("having", ["COUNT(r.a) = 0", "COUNT(r.a) = 2",
+                                    "MIN(s.b) = 3"])
+def test_select_one_having_runs_on_sqlite(having, joined_by):
+    # no aggregate in the SELECT list: sqlite rejects a plain HAVING there,
+    # in the original query too, so the oracle gives the expected answer
+    where, db = _EMPTY_JOINS.get(joined_by, ("", _JOINING_DB))
+    sql = f"SELECT 1 FROM r, s WHERE r.k = s.k{where} HAVING {having}"
+    expected = eval_naive(extract_cq(parse_query(sql)), db).rows
+    for mode in ("auto", "fullenum"):
+        plan = compile_sql(sql, mode=mode).plan
+        assert eval_plan(plan, db).relation.rows == expected
+        assert run_on_sqlite(plan, db) == expected
+
+
 def _assert_semijoin_forms_agree(plan, cq, db):
     """The generic dialect's default script (single-key semi-joins as IN),
     the same plan with every semi-join forced to EXISTS, and the engine all
